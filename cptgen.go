@@ -301,18 +301,8 @@ type (
 	// ReplayServerOpts tunes a TCP MCN frontend (service time, ack batching,
 	// fault injection).
 	ReplayServerOpts = replaynet.ServerOpts
-	// ReplayClosedOpts tunes a closed-loop (acknowledged, congestion-
-	// controlled) replay run.
-	ReplayClosedOpts = replaynet.ClosedOpts
-	// ReplayClosedStats summarizes a closed-loop replay run.
-	ReplayClosedStats = replaynet.ClosedStats
-	// ReplayLiveStats publishes a running closed-loop replay's transport
-	// state (cwnd, sRTT, RTO, in-flight, retransmits) as atomics.
-	ReplayLiveStats = replaynet.LiveStats
 	// ReplaySearchOpts tunes the SLO-search controller.
 	ReplaySearchOpts = replaynet.SearchOpts
-	// ReplaySearchResult is the SLO search outcome.
-	ReplaySearchResult = replaynet.SearchResult
 	// FaultConfig is the deterministic fault-injection schedule applied to a
 	// connection side (see internal/faultnet).
 	FaultConfig = faultnet.Config
@@ -339,7 +329,8 @@ func ListenMCNOpts(addr string, gen Generation, opts ReplayServerOpts) (*ReplayS
 
 // FaultDialer returns a dial function injecting cfg's deterministic fault
 // schedule into every dialed connection — plug it into
-// ReplayClosedOpts.Dial to exercise a driver's robustness paths.
+// a closed-loop replay's Dial option to exercise a driver's robustness
+// paths.
 func FaultDialer(cfg FaultConfig) func(addr string) (net.Conn, error) {
 	return faultnet.Dialer(cfg)
 }

@@ -6,8 +6,9 @@
 //
 //  1. in-process, against the virtual-time MCN simulator (deterministic
 //     latency/autoscaling numbers), and
-//  2. over TCP, against the replaynet MCN frontend, with the trace paced at
-//     a wall-clock speedup — i.e. a real networked load test.
+//  2. over TCP, against the replaynet MCN frontend, as fast as the
+//     connection allows — a real networked load test. (Wall-clock pacing
+//     is the scenario engine's Pacer; see cptscenario -speedup.)
 package main
 
 import (
@@ -66,9 +67,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	fmt.Printf("\nreplaying over TCP to %s (3600x speedup)...\n", srv.Addr())
+	fmt.Printf("\nreplaying over TCP to %s...\n", srv.Addr())
 
-	stats, err := cptgen.ReplayOverTCP(srv.Addr().String(), workload, cptgen.ReplayOpts{Speedup: 3600})
+	stats, err := cptgen.ReplayOverTCP(srv.Addr().String(), workload, cptgen.ReplayOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

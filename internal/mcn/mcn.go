@@ -65,10 +65,11 @@ type Config struct {
 	// counters while RunStream is still running (see LiveStats). It does
 	// not change the simulation.
 	Live *LiveStats
-	// LatencySink, when non-nil, mirrors every served event's latency
-	// sample (seconds) into a lock-free telemetry histogram — the
-	// distribution-level counterpart of Live's point quantiles, rendered
-	// natively on /metrics. It does not change the simulation.
+	// LatencySink, when non-nil, is the histogram the run records every
+	// served event's latency (seconds) into — the distribution-level
+	// counterpart of Live's point quantiles, rendered natively on /metrics.
+	// The report's latency figures are read back from it, so it must start
+	// empty; nil records into a private histogram.
 	LatencySink *telemetry.Histogram
 }
 
@@ -189,77 +190,6 @@ type ArrivalSource interface {
 	NextArrival() (a Arrival, ok bool, err error)
 }
 
-// LatencyHist is a log-spaced latency histogram over the shared
-// telemetry.LatencyBuckets scheme: bucket 0 holds latencies below the
-// scheme's Min (10µs), then 16 buckets per decade up to 10ks, then one
-// overflow bucket. Percentile queries return the upper edge of the bucket
-// holding the requested rank (≤ 16%/decade apart), and the mean is exact —
-// O(1) memory regardless of the sample count. It backs the MCN simulator's
-// latency report and the closed-loop replay driver's per-transaction SLO
-// accounting; the bucket math lives in telemetry.Buckets so mcn, replaynet
-// and the Prometheus histograms agree on one edge set. Not safe for
-// concurrent use (the single-writer simulator loop); the lock-free
-// equivalent is telemetry.Histogram.
-type LatencyHist struct {
-	counts []int
-	n      int
-	sum    float64
-}
-
-// latencyBuckets is the shared log-bucket scheme (1e-5..1e4 s, 16/decade).
-var latencyBuckets = telemetry.LatencyBuckets
-
-// NewLatencyHist returns an empty histogram.
-func NewLatencyHist() *LatencyHist {
-	return &LatencyHist{counts: make([]int, latencyBuckets.NumBuckets())}
-}
-
-// Add records one latency sample in seconds.
-func (h *LatencyHist) Add(l float64) {
-	h.n++
-	h.sum += l
-	h.counts[latencyBuckets.Index(l)]++
-}
-
-// Count returns the number of recorded samples.
-func (h *LatencyHist) Count() int { return h.n }
-
-// Reset clears the histogram for reuse (a controller's per-probe-window
-// measurements reuse one allocation).
-func (h *LatencyHist) Reset() {
-	clear(h.counts)
-	h.n = 0
-	h.sum = 0
-}
-
-// Mean returns the exact mean of the recorded samples.
-func (h *LatencyHist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Quantile returns the upper edge of the bucket containing the q-quantile,
-// clamped to the scheme's [Min, Max].
-func (h *LatencyHist) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	rank := int(q * float64(h.n-1))
-	var cum int
-	for i, c := range h.counts {
-		cum += c
-		if cum > rank {
-			if i == len(h.counts)-1 {
-				return latencyBuckets.Max
-			}
-			return latencyBuckets.UpperEdge(i)
-		}
-	}
-	return latencyBuckets.Max
-}
-
 // serverHeap is a min-heap of per-instance next-free times.
 type serverHeap []float64
 
@@ -335,7 +265,10 @@ func RunStream(gen events.Generation, src ArrivalSource, cfg Config) (*Report, e
 	maxInstances := instances
 
 	rep := &Report{}
-	hist := NewLatencyHist()
+	hist := cfg.LatencySink
+	if hist == nil {
+		hist = telemetry.NewHistogram(telemetry.LatencyBuckets)
+	}
 	connected := 0
 	var winStart float64
 	winArrivals := 0
@@ -475,10 +408,7 @@ func RunStream(gen events.Generation, src ArrivalSource, cfg Config) (*Report, e
 		start := math.Max(free, a.Time)
 		finish := start + cost
 		heap.Push(&servers, finish)
-		hist.Add(finish - a.Time)
-		if cfg.LatencySink != nil {
-			cfg.LatencySink.Observe(finish - a.Time)
-		}
+		hist.Observe(finish - a.Time)
 		winBusy += cost
 	}
 	if !started {

@@ -12,11 +12,10 @@ import (
 	"cptgpt/internal/trace"
 )
 
-// ReplayOpts tunes a driver run.
+// ReplayOpts tunes a driver run. The driver sends events as the source
+// releases them; trace-time pacing belongs to the source (wrap it in a
+// scenario.Pacer).
 type ReplayOpts struct {
-	// Speedup divides trace time: 60 replays an hour of trace in a minute.
-	// A Speedup ≤ 0 replays as fast as the connection allows (no pacing).
-	Speedup float64
 	// Deadline bounds the total wall-clock replay duration; 0 means none.
 	Deadline time.Duration
 }
@@ -36,7 +35,7 @@ type EventSource interface {
 	NextReplayEvent() (ev ReplayEvent, ok bool, err error)
 }
 
-// Replay connects to a replaynet server at addr, paces the dataset's merged
+// Replay connects to a replaynet server at addr, writes the dataset's merged
 // event sequence onto the wire and returns the server's final stats. Events
 // across all streams are interleaved in timestamp order, exactly the load a
 // real core would see from the UE population.
@@ -65,7 +64,7 @@ type sourceFunc func() (ReplayEvent, bool, error)
 
 func (f sourceFunc) NextReplayEvent() (ReplayEvent, bool, error) { return f() }
 
-// ReplayStream connects to a replaynet server at addr and paces a
+// ReplayStream connects to a replaynet server at addr and writes a
 // time-ordered event sequence pulled incrementally from src onto the wire —
 // the streaming counterpart of Replay that the scenario engine uses to
 // drive a server with million-UE workloads in bounded memory. 64-bit UE
@@ -83,53 +82,32 @@ func ReplayStream(addr string, gen events.Generation, src EventSource, opts Repl
 		return Stats{}, err
 	}
 
+	pump := startPump(src)
+	defer pump.stop()
 	start := time.Now()
 	ueIdx := make(map[uint64]uint32)
-	var t0 float64
-	first := true
-	// The writer is buffered for throughput, but a paced replay must not let
-	// events sit in the buffer while the pacer sleeps — the server would see
-	// them in bursts a flush interval late instead of on their schedule. So
-	// the buffer is flushed before every pacing sleep and, on unpaced or
-	// densely-paced stretches, at least every flushEvery of wall time.
-	const flushEvery = 50 * time.Millisecond
-	lastFlush := start
-	flush := func() error {
-		if err := bw.Flush(); err != nil {
-			return fmt.Errorf("replaynet: flushing: %w", err)
-		}
-		lastFlush = time.Now()
-		return nil
-	}
 	for {
-		ev, ok, err := src.NextReplayEvent()
-		if err != nil {
-			return Stats{}, fmt.Errorf("replaynet: event source: %w", err)
+		var it pulled
+		select {
+		case it = <-pump.ch:
+		default:
+			// The source is blocked (a pacer wait, a generation stall): what
+			// is buffered goes onto the wire now, not a wait later.
+			if err := bw.Flush(); err != nil {
+				return Stats{}, fmt.Errorf("replaynet: flushing: %w", err)
+			}
+			it = <-pump.ch
 		}
-		if !ok {
+		if it.err != nil {
+			return Stats{}, fmt.Errorf("replaynet: event source: %w", it.err)
+		}
+		if !it.ok {
 			break
-		}
-		if first {
-			t0 = ev.Time
-			first = false
 		}
 		if opts.Deadline > 0 && time.Since(start) > opts.Deadline {
 			break
 		}
-		if opts.Speedup > 0 {
-			due := time.Duration((ev.Time - t0) / opts.Speedup * float64(time.Second))
-			if wait := due - time.Since(start); wait > 0 {
-				if err := flush(); err != nil {
-					return Stats{}, err
-				}
-				time.Sleep(wait)
-			}
-		}
-		if time.Since(lastFlush) >= flushEvery {
-			if err := flush(); err != nil {
-				return Stats{}, err
-			}
-		}
+		ev := it.ev
 		idx, seen := ueIdx[ev.UE]
 		if !seen {
 			idx = uint32(len(ueIdx))
@@ -162,4 +140,56 @@ func ReplayStream(addr string, gen events.Generation, src EventSource, opts Repl
 		_ = bw.Flush()
 	}
 	return st, nil
+}
+
+// pumpDepth bounds how far a pump may run ahead of its driver. A source
+// that is always ready (unpaced) then hands events over in runs of up to
+// this many instead of one goroutine switch each; 64 frames are under
+// 2 KiB, within one 4 KiB write buffer.
+const pumpDepth = 64
+
+// pulled is one source pull: an event, end of source (ok=false) or an error.
+type pulled struct {
+	ev  ReplayEvent
+	ok  bool
+	err error
+}
+
+// pump pulls an EventSource on its own goroutine, so a driver can tell "no
+// event ready" from "event ready" without blocking. Both replay drivers go
+// through one: while the source blocks (a wall-clock pacer, a generation
+// stall) the driver flushes its write buffer and folds ACKs before it
+// waits, instead of sitting on them until the next event.
+type pump struct {
+	ch   chan pulled
+	quit chan struct{}
+	done chan struct{}
+}
+
+// startPump starts pulling src. The pump ends after delivering end of
+// source or an error, or at stop.
+func startPump(src EventSource) *pump {
+	p := &pump{ch: make(chan pulled, pumpDepth), quit: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		for {
+			ev, ok, err := src.NextReplayEvent()
+			select {
+			case p.ch <- pulled{ev, ok, err}:
+			case <-p.quit:
+				return
+			}
+			if !ok || err != nil {
+				return
+			}
+		}
+	}()
+	return p
+}
+
+// stop ends the pump and joins it, waiting out a pull in progress: once
+// stop returns no goroutine touches the source, so the caller may close it.
+func (p *pump) stop() {
+	close(p.quit)
+	<-p.done
 }

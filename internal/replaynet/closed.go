@@ -14,7 +14,9 @@ package replaynet
 // Concurrency contract: one driver goroutine owns the send loop; a reader
 // goroutine per connection folds ACK arrivals into two atomics and a
 // notification channel (never blocking, so a slow driver can never deadlock
-// the ack stream against TCP backpressure). LiveStats mirrors the
+// the ack stream against TCP backpressure); a pump goroutine pulls the event
+// source, so a source that blocks (a wall-clock pacer) never stalls the
+// flush and ACK path. LiveStats mirrors the
 // mcn.LiveStats idiom: every field is an atomic, written by the driver loop
 // and readable from any goroutine while the replay runs.
 
@@ -29,7 +31,6 @@ import (
 	"time"
 
 	"cptgpt/internal/events"
-	"cptgpt/internal/mcn"
 	"cptgpt/internal/telemetry"
 	"cptgpt/internal/tracez"
 )
@@ -63,12 +64,10 @@ type LiveStats struct {
 }
 
 // ClosedOpts tunes a closed-loop replay run. The zero value is usable:
-// no trace pacing (the window is the only throttle), default congestion
-// parameters, net.Dial connectivity.
+// default congestion parameters, net.Dial connectivity. The driver sends
+// as fast as the window allows; trace-time pacing belongs to the source
+// (wrap it in a scenario.Pacer).
 type ClosedOpts struct {
-	// Speedup divides trace time exactly like ReplayOpts.Speedup; 0 sends
-	// as fast as the congestion window allows.
-	Speedup float64
 	// Deadline bounds the total wall-clock replay duration; 0 means none.
 	Deadline time.Duration
 	// SessionID keys the server-side resume state. 0 derives a fresh ID
@@ -109,10 +108,11 @@ type ClosedOpts struct {
 	Dial func(addr string) (net.Conn, error)
 	// Live, when non-nil, receives the run's transport state as atomics.
 	Live *LiveStats
-	// RTTSink, when non-nil, mirrors every sampled send→ACK latency
-	// (seconds) into a lock-free telemetry histogram — the native
-	// Prometheus distribution behind a daemon's
-	// cptserved_replay_rtt_seconds series. Never changes the replay.
+	// RTTSink, when non-nil, is the histogram the run records every
+	// sampled send→ACK latency (seconds) into — the native Prometheus
+	// distribution behind a daemon's cptserved_replay_rtt_seconds series.
+	// The stats' latency figures are read back from it, so it must start
+	// empty; nil records into a private histogram.
 	RTTSink *telemetry.Histogram
 }
 
@@ -221,6 +221,7 @@ type closedSession struct {
 	nextSeq   uint64
 	ueIdx     map[uint64]uint32
 	flushedAt time.Time
+	frame     [21]byte // SEVENT payload scratch: a local would escape per send
 
 	// Congestion state.
 	cwnd, wMax, cubicK float64
@@ -230,11 +231,11 @@ type closedSession struct {
 	// RFC-6298 estimator state.
 	srtt, rttvar, rto time.Duration
 
-	// Latency accounting: hist is the whole-run histogram; winHist, when
-	// non-nil, additionally receives samples for the controller's current
-	// probe window.
-	hist    *mcn.LatencyHist
-	winHist *mcn.LatencyHist
+	// Latency accounting: hist is the whole-run histogram (RTTSink when
+	// set); winHist, when non-nil, additionally receives samples for the
+	// controller's current probe window.
+	hist    *telemetry.Histogram
+	winHist *telemetry.Histogram
 
 	sent, retx, acked, reconnects int64
 	start                         time.Time
@@ -488,9 +489,8 @@ func (s *closedSession) updateRTT(r time.Duration) {
 func (s *closedSession) popAcked(upTo uint64, at time.Time, sample bool) int {
 	n := 0
 	rttSample := time.Duration(-1)
-	for len(s.pending) > 0 && s.pending[0].seq <= upTo {
-		p := s.pending[0]
-		s.pending = s.pending[1:]
+	for n < len(s.pending) && s.pending[n].seq <= upTo {
+		p := s.pending[n]
 		n++
 		s.acked++
 		if sample {
@@ -498,17 +498,22 @@ func (s *closedSession) popAcked(upTo uint64, at time.Time, sample bool) int {
 			if lat < 0 {
 				lat = 0
 			}
-			s.hist.Add(lat.Seconds())
+			s.hist.Observe(lat.Seconds())
 			if s.winHist != nil {
-				s.winHist.Add(lat.Seconds())
-			}
-			if s.o.RTTSink != nil {
-				s.o.RTTSink.Observe(lat.Seconds())
+				s.winHist.Observe(lat.Seconds())
 			}
 			if !p.retx {
 				rttSample = lat
 			}
 		}
+	}
+	if rem := len(s.pending) - n; rem <= n {
+		// Compact in place — at most n moves for n retired, so amortized
+		// O(1) — to keep reusing the window's backing array: a paced run
+		// retires its whole window on nearly every ACK.
+		s.pending = s.pending[:copy(s.pending, s.pending[n:])]
+	} else {
+		s.pending = s.pending[n:]
 	}
 	if upTo > s.ackedSeq {
 		s.ackedSeq = upTo
@@ -543,8 +548,7 @@ func (s *closedSession) send(ev ReplayEvent, now time.Time) error {
 	p := pendingEv{seq: s.nextSeq, ue: idx, tMicros: int64(ev.Time * 1e6), ev: byte(ev.Type), sentAt: now}
 	s.pending = append(s.pending, p)
 	s.sent++
-	var buf [21]byte
-	if err := writeFrame(s.bw, frameSeqEvent, seqEventPayload(buf[:], p.seq, p.ue, p.tMicros, p.ev)); err != nil {
+	if err := writeFrame(s.bw, frameSeqEvent, seqEventPayload(s.frame[:], p.seq, p.ue, p.tMicros, p.ev)); err != nil {
 		return err
 	}
 	if time.Since(s.flushedAt) >= s.o.FlushInterval {
@@ -556,15 +560,19 @@ func (s *closedSession) send(ev ReplayEvent, now time.Time) error {
 // runClosed is the core closed-loop driver loop shared by ReplayClosed and
 // SLOSearch. winHist, when non-nil, additionally receives every acked
 // transaction's latency (the controller's probe-window accounting).
-func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts, hooks closedHooks, winHist *mcn.LatencyHist) (ClosedStats, error) {
+func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts, hooks closedHooks, winHist *telemetry.Histogram) (ClosedStats, error) {
 	o = o.withDefaults()
+	hist := o.RTTSink
+	if hist == nil {
+		hist = telemetry.NewHistogram(telemetry.LatencyBuckets)
+	}
 	s := &closedSession{
 		addr: addr, gen: gen, o: o,
 		ueIdx:     make(map[uint64]uint32),
 		cwnd:      o.InitialCwnd,
 		slowStart: true,
 		rto:       o.InitialRTO,
-		hist:      mcn.NewLatencyHist(),
+		hist:      hist,
 		winHist:   winHist,
 		start:     time.Now(),
 		// A resumed incarnation continues the session's absolute sequence
@@ -610,8 +618,10 @@ func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts
 	}
 	s.publishLive()
 
+	pump := startPump(src)
+	defer pump.stop()
 	var (
-		peek     ReplayEvent
+		peek     pulled
 		havePeek bool
 		srcDone  bool
 	)
@@ -633,34 +643,35 @@ func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts
 			}
 		}
 
-		// Fill the window.
+		// Fill the window with whatever the source has ready.
 		paceWait := time.Duration(-1)
 		for !srcDone && len(s.pending) < int(s.cwnd) {
 			if !havePeek {
-				ev, ok, err := src.NextReplayEvent()
-				if err != nil {
-					return ClosedStats{}, fmt.Errorf("replaynet: event source: %w", err)
+				select {
+				case peek = <-pump.ch:
+					havePeek = true
+				default:
 				}
-				if !ok {
-					srcDone = true
+				if !havePeek {
 					break
 				}
-				peek, havePeek = ev, true
 			}
-			if o.Deadline > 0 && time.Since(s.start) > o.Deadline {
-				srcDone = true
-				havePeek = false
+			if peek.err != nil {
+				return ClosedStats{}, fmt.Errorf("replaynet: event source: %w", peek.err)
+			}
+			if !peek.ok || (o.Deadline > 0 && time.Since(s.start) > o.Deadline) {
+				srcDone, havePeek = true, false
 				break
 			}
 			if hooks.due != nil {
-				if d := hooks.due(peek); !d.IsZero() {
+				if d := hooks.due(peek.ev); !d.IsZero() {
 					if w := time.Until(d); w > 0 {
 						paceWait = w
 						break
 					}
 				}
 			}
-			if err := s.send(peek, time.Now()); err != nil {
+			if err := s.send(peek.ev, time.Now()); err != nil {
 				s.onLoss()
 				if rerr := s.reconnect(); rerr != nil {
 					return ClosedStats{}, rerr
@@ -686,7 +697,12 @@ func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts
 			continue
 		}
 
-		// Wait for an ack, a connection failure, the RTO or the pacer.
+		// Wait for the source, an ack, a connection failure, the RTO or the
+		// controller's pacing — the source only while the window has room.
+		var srcCh <-chan pulled
+		if !srcDone && !havePeek && len(s.pending) < int(s.cwnd) {
+			srcCh = pump.ch
+		}
 		wait := time.Hour
 		rtoWait := false
 		if len(s.pending) > 0 {
@@ -701,33 +717,30 @@ func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts
 			wait = 0
 		}
 		timer.Reset(wait)
+		fired, lost := false, false
 		select {
+		case peek = <-srcCh:
+			havePeek = true
 		case <-s.notify:
-			if !timer.Stop() {
-				<-timer.C
-			}
-		case err := <-s.readErr:
-			if !timer.Stop() {
-				<-timer.C
-			}
-			_ = err
-			s.onLoss()
-			if rerr := s.reconnect(); rerr != nil {
-				return ClosedStats{}, rerr
-			}
+		case <-s.readErr:
+			lost = true
 		case <-timer.C:
+			fired = true
 			if rtoWait && len(s.pending) > 0 && time.Since(s.pending[0].sentAt) >= s.rto {
 				// Per-event timeout: the oldest in-flight transaction blew
 				// its RTO — a loss event. Back off the timeout (Karn) and
 				// resume through a fresh connection.
-				s.rto *= 2
-				if s.rto > o.MaxRTO {
-					s.rto = o.MaxRTO
-				}
-				s.onLoss()
-				if rerr := s.reconnect(); rerr != nil {
-					return ClosedStats{}, rerr
-				}
+				s.rto = min(2*s.rto, o.MaxRTO)
+				lost = true
+			}
+		}
+		if !fired && !timer.Stop() {
+			<-timer.C
+		}
+		if lost {
+			s.onLoss()
+			if rerr := s.reconnect(); rerr != nil {
+				return ClosedStats{}, rerr
 			}
 		}
 	}
@@ -794,24 +807,9 @@ func (s *closedSession) finalStats() (Stats, error) {
 
 // ReplayClosed connects to a replaynet server and replays a time-ordered
 // event sequence as acknowledged, congestion-controlled signaling
-// transactions — the closed-loop counterpart of ReplayStream. Events are
-// paced by opts.Speedup (0 = window-limited only); delivery is exactly-once
-// across connection failures.
+// transactions — the closed-loop counterpart of ReplayStream. Events go out
+// as the source releases them, limited only by the window; delivery is
+// exactly-once across connection failures.
 func ReplayClosed(addr string, gen events.Generation, src EventSource, opts ClosedOpts) (ClosedStats, error) {
-	var start time.Time
-	var t0 float64
-	first := true
-	hooks := closedHooks{}
-	if opts.Speedup > 0 {
-		speed := opts.Speedup
-		hooks.due = func(ev ReplayEvent) time.Time {
-			if first {
-				first = false
-				start = time.Now()
-				t0 = ev.Time
-			}
-			return start.Add(time.Duration((ev.Time - t0) / speed * float64(time.Second)))
-		}
-	}
-	return runClosed(addr, gen, src, opts, hooks, nil)
+	return runClosed(addr, gen, src, opts, closedHooks{}, nil)
 }

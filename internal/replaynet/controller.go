@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"cptgpt/internal/events"
-	"cptgpt/internal/mcn"
+	"cptgpt/internal/telemetry"
 )
 
 // SearchOpts tunes the SLO search.
@@ -149,13 +149,12 @@ func SLOSearch(addr string, gen events.Generation, src EventSource, opts ClosedO
 		return SearchResult{}, errors.New("replaynet: SLOSearch requires a positive SLOP99")
 	}
 	search = search.withDefaults()
-	opts.Speedup = 0 // the controller owns pacing
 
 	st := newSLOSearchState(search)
 	result := SearchResult{}
 	slo := search.SLOP99.Seconds()
 
-	winHist := mcn.NewLatencyHist()
+	winHist := telemetry.NewHistogram(telemetry.LatencyBuckets)
 	var winStart time.Time  // wall start of the current window's ack count
 	var winSendBase float64 // send index at window start
 	var sendIdx float64
@@ -172,7 +171,8 @@ func SLOSearch(addr string, gen events.Generation, src EventSource, opts ClosedO
 		if st.done {
 			return false // already decided; in-flight acks are just drained
 		}
-		if winHist.Count() < search.WindowEvents {
+		count := winHist.Count()
+		if count < int64(search.WindowEvents) {
 			return true
 		}
 		p99 := winHist.Quantile(0.99)
@@ -180,7 +180,7 @@ func SLOSearch(addr string, gen events.Generation, src EventSource, opts ClosedO
 		elapsed := now.Sub(winStart).Seconds()
 		achieved := 0.0
 		if elapsed > 0 {
-			achieved = float64(winHist.Count()) / elapsed
+			achieved = float64(count) / elapsed
 		}
 		met := p99 <= slo && achieved >= search.MinAchievedFrac*st.rate
 		result.Rounds = append(result.Rounds, ProbeRound{
@@ -188,7 +188,7 @@ func SLOSearch(addr string, gen events.Generation, src EventSource, opts ClosedO
 			Achieved: achieved,
 			P99:      time.Duration(p99 * 1e9),
 			Mean:     time.Duration(mean * 1e9),
-			Events:   winHist.Count(),
+			Events:   int(count),
 			Met:      met,
 		})
 		st.observe(met)

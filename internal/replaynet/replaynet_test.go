@@ -65,7 +65,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	defer srv.Close()
 
-	stats, err := Replay(srv.Addr().String(), d, ReplayOpts{Speedup: 0}) // as fast as possible
+	stats, err := Replay(srv.Addr().String(), d, ReplayOpts{}) // as fast as possible
 	if err != nil {
 		t.Fatal(err)
 	}

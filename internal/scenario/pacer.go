@@ -15,8 +15,8 @@ import (
 // Next yields events in the merge's (Time, UE, Seq) total order until
 // ok=false, after which Err distinguishes clean exhaustion (nil) from a
 // pipeline failure. Both *Stream and *Pacer implement it, and every sink
-// (Drain, WriteJSONL, WriteCSV, RunMCN, ReplayTCP) consumes it, so pacing
-// and other stages compose between the merge and any sink.
+// (RunSink and the per-sink functions it dispatches to) consumes it, so
+// pacing and other stages compose between the merge and any sink.
 //
 // Next is single-consumer: one goroutine pulls at a time.
 type EventSource interface {
@@ -336,9 +336,6 @@ func (p *Pacer) Generation() events.Generation { return p.src.Generation() }
 
 // UEID delegates to the underlying source.
 func (p *Pacer) UEID(e Event) string { return p.src.UEID(e) }
-
-// Compression returns the configured time-compression factor (0 = unpaced).
-func (p *Pacer) Compression() float64 { return p.compression }
 
 // Events returns the number of events released so far. Safe concurrently
 // with Next.

@@ -591,12 +591,14 @@ func TestEventWriterSinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cb bytes.Buffer
-	nc, err := WriteCSV(&cb, st)
+	res, err := RunSink(st, SinkSpec{Kind: "csv", Out: "-"}, SinkInputs{
+		File: func() (*FileSink, error) { return &FileSink{W: &cb}, nil },
+	})
 	st.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nc != nj {
+	if nc := int(res.Lines); nc != nj {
 		t.Fatalf("CSV sink wrote %d events, JSONL wrote %d", nc, nj)
 	}
 	if !strings.HasPrefix(cb.String(), "ue_id,device_type,timestamp,event_type\n") {

@@ -6,17 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cptgpt/internal/scenario"
 	"cptgpt/internal/tracez"
-)
-
-// Degrade policies for file-sink write failures. The default ("fail")
-// keeps today's behavior: a hard sink error fails the run. "drop" and
-// "pause" interpose a per-run circuit breaker between the line encoder
-// and the sink file.
-const (
-	DegradeFail  = "fail"
-	DegradePause = "pause"
-	DegradeDrop  = "drop"
 )
 
 // Breaker tuning: trip after breakerThreshold consecutive write failures;
@@ -104,7 +95,7 @@ func (b *breakerWriter) Write(p []byte) (int, error) {
 		if b.state.Load() == breakerOpen {
 			wait := time.Until(b.until)
 			if wait > 0 {
-				if b.policy == DegradeDrop {
+				if b.policy == scenario.DegradeDrop {
 					b.dropped.Add(1)
 					return len(p), nil
 				}
@@ -133,7 +124,7 @@ func (b *breakerWriter) Write(p []byte) (int, error) {
 		// Below the trip threshold the policy still governs the failure:
 		// drop discards this write, pause re-attempts immediately (the
 		// loop reaches the threshold and trips within two more writes).
-		if b.policy == DegradeDrop {
+		if b.policy == scenario.DegradeDrop {
 			b.dropped.Add(1)
 			return len(p), nil
 		}

@@ -45,14 +45,14 @@ func (s *Server) openJournal(r *run) {
 	}
 	j.AppendBegin(runlog.Begin{
 		RunID: r.id, Scenario: r.scenarioName, Spec: spec,
-		Sink: r.sink, Out: r.out, Addr: r.addr, ClosedLoop: r.closedLoop,
+		Sink: r.sink.Kind, Out: r.sink.Out, Addr: r.sink.Addr, ClosedLoop: r.sink.ClosedLoop,
 		UEs: r.ues, Compression: r.compression,
 		Precision: r.opts.Precision, Speculative: r.opts.Speculative,
 		DraftTokens: r.opts.DraftTokens,
 		Parallelism: r.opts.Parallelism, BatchSize: r.opts.BatchSize,
 		SessionID:     r.sessionID,
 		MaxSpillBytes: r.budget.MaxSpillBytes, MaxEvents: r.budget.MaxEvents,
-		MaxWallNanos: int64(r.budget.MaxWall), Degrade: r.degrade,
+		MaxWallNanos: int64(r.budget.MaxWall), Degrade: r.sink.Degrade,
 		ShedAfterNanos: int64(r.shedAfter),
 		StartedAt:      r.startedAt,
 	})
@@ -139,7 +139,7 @@ func newCkptTap(src scenario.EventSource, r *run) *ckptTap {
 		interval:    r.ckptInterval,
 		lastT:       time.Now(),
 	}
-	if r.sink == "replay" && r.closedLoop {
+	if r.replayLive != nil {
 		t.acked = &r.replayLive.AckedSeq
 		t.seqBase = r.replayResumeFrom
 	}
@@ -235,10 +235,13 @@ func transientWriteErr(err error) bool {
 
 // retryWriter absorbs transient write errors with bounded exponential
 // backoff, resuming partial writes at the delivered offset and counting
-// each retry into the run's stats.
+// each retry into the run's stats. n tracks the absolute sink byte offset
+// — seeded with the resumed durable prefix length on recovery, so
+// checkpoints always carry whole-file cursors.
 type retryWriter struct {
 	w       io.Writer
 	retries *atomic.Int64
+	n       int64
 }
 
 func (rw *retryWriter) Write(p []byte) (int, error) {
@@ -252,19 +255,6 @@ func (rw *retryWriter) Write(p []byte) (int, error) {
 		m, err = rw.w.Write(p[n:])
 		n += m
 	}
-	return n, err
-}
-
-// countingWriter tracks the absolute sink byte offset — seeded with the
-// resumed durable prefix length on recovery, so checkpoints always carry
-// whole-file cursors.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
+	rw.n += int64(n)
 	return n, err
 }

@@ -9,12 +9,8 @@ import (
 	"strings"
 	"time"
 
-	"cptgpt/internal/cptgpt"
-	"cptgpt/internal/mcn"
-	"cptgpt/internal/replaynet"
 	"cptgpt/internal/runlog"
 	"cptgpt/internal/scenario"
-	"cptgpt/internal/telemetry"
 	"cptgpt/internal/tensor"
 )
 
@@ -98,8 +94,7 @@ func (s *Server) registerInterrupted(st *runlog.RunState, cause error) {
 	done := make(chan struct{})
 	close(done)
 	r := &run{
-		id: b.RunID, scenarioName: b.Scenario, sink: b.Sink,
-		out: b.Out, addr: b.Addr, closedLoop: b.ClosedLoop,
+		id: b.RunID, scenarioName: b.Scenario, sink: scenario.SinkSpec{Kind: b.Sink},
 		ues: b.UEs, compression: b.Compression,
 		cancel: func() {}, done: done,
 		state: StateFailed, startedAt: b.StartedAt, finishedAt: time.Now(),
@@ -149,10 +144,10 @@ func (s *Server) resumeRun(st *runlog.RunState) error {
 	}
 	r := &run{
 		id: b.RunID, scenarioName: b.Scenario, spec: spec,
-		sink: b.Sink, out: b.Out, addr: b.Addr, closedLoop: b.ClosedLoop,
+		sink: scenario.SinkSpec{Kind: b.Sink, Out: b.Out, Addr: b.Addr,
+			ClosedLoop: b.ClosedLoop, Degrade: b.Degrade},
 		ues: b.UEs, compression: b.Compression,
 		done:         make(chan struct{}),
-		decode:       make(map[string]*cptgpt.DecodeStats),
 		state:        StateRecovering,
 		startedAt:    b.StartedAt,
 		poolBase:     tensor.PoolLoad(),
@@ -164,7 +159,6 @@ func (s *Server) resumeRun(st *runlog.RunState) error {
 		resumeSkips:  s.resumeSkips,
 		// The journaled resource envelope survives the crash: the resumed
 		// incarnation runs under the budgets it was admitted with.
-		degrade:    b.Degrade,
 		shedAfter:  time.Duration(b.ShedAfterNanos),
 		admitUEs:   admissionUEs(b.UEs, spec),
 		recovered:  true,
@@ -176,30 +170,10 @@ func (s *Server) resumeRun(st *runlog.RunState) error {
 			SpillUsed:     &s.admission.spill,
 		},
 	}
-	for _, src := range spec.Sources {
-		if src.Kind == "cptgpt" {
-			r.decode[src.ID] = &cptgpt.DecodeStats{}
-		}
-	}
-	if r.sink == "mcn" {
-		r.mcnLive = &mcn.LiveStats{}
-	}
-	if r.sink == "replay" && r.closedLoop {
-		r.replayLive = &replaynet.LiveStats{}
-	}
-	r.opts = scenario.RunOpts{
-		UEs:            b.UEs,
-		Parallelism:    parallelism,
-		BatchSize:      b.BatchSize,
-		TempDir:        s.opts.TempDir,
-		Precision:      b.Precision,
-		Speculative:    b.Speculative,
-		DraftTokens:    b.DraftTokens,
-		Budget:         r.budget,
-		LoadModel:      s.loadModel,
-		SourceStats:    func(id string) *cptgpt.DecodeStats { return r.decode[id] },
-		SourceStepHist: func(id string) *telemetry.Histogram { return r.stepHists[id] },
-	}
+	s.wireRun(r, scenario.RunOpts{
+		UEs: b.UEs, Parallelism: parallelism, BatchSize: b.BatchSize,
+		Precision: b.Precision, Speculative: b.Speculative, DraftTokens: b.DraftTokens,
+	})
 	if c := s.resumePlan(st); c != nil {
 		r.resume = c
 		r.resumeKey = &scenario.Event{Time: c.Time, UE: c.UE, Seq: c.Seq}
@@ -248,7 +222,7 @@ func (s *Server) resumeRun(st *runlog.RunState) error {
 		from = fmt.Sprintf("checkpoint at %d events", r.baseEvents)
 	}
 	s.log.Infow("resuming interrupted run", "run", r.id,
-		"scenario", r.scenarioName, "sink", r.sink, "from", from)
+		"scenario", r.scenarioName, "sink", r.sink.Kind, "from", from)
 	s.launch(r, ctx, cancel)
 	return nil
 }

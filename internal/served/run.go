@@ -4,7 +4,6 @@ import (
 	"compress/gzip"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -191,10 +190,7 @@ type run struct {
 	id           string
 	scenarioName string
 	spec         *scenario.Spec
-	sink         string
-	out          string
-	addr         string
-	closedLoop   bool
+	sink         scenario.SinkSpec
 	ues          int
 	compression  float64
 	opts         scenario.RunOpts
@@ -207,13 +203,12 @@ type run struct {
 
 	// Overload-protection plumbing, all set before the run is published.
 	// budget is the run's resource envelope (also in opts.Budget);
-	// degrade the file-sink failure policy; shedAfter the pacer
+	// shedAfter the pacer
 	// load-shedding bound; admitUEs the run's admission cost in UE slots;
 	// recovered marks a crash-recovery incarnation (its wall budget
 	// counts from the journaled start); overBudget counts budget breaches
 	// into the daemon's kind-labeled series.
 	budget     scenario.Budget
-	degrade    string
 	shedAfter  time.Duration
 	admitUEs   int64
 	recovered  bool
@@ -360,7 +355,7 @@ func (r *run) info() RunInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	info := RunInfo{
-		ID: r.id, Scenario: r.scenarioName, Sink: r.sink,
+		ID: r.id, Scenario: r.scenarioName, Sink: r.sink.Kind,
 		UEs: r.ues, Compression: r.compression,
 		State: r.state, StartedAt: r.startedAt, Result: r.result,
 	}
@@ -565,7 +560,7 @@ func (r *run) execute(ctx context.Context, mcnCfg mcn.Config) {
 	streamSp := tracez.Begin(tracez.StageRunStream, r.id)
 	defer func() {
 		if streamSp.Live() {
-			streamSp.End(r.events(), r.sink)
+			streamSp.End(r.events(), r.sink.Kind)
 		}
 	}()
 
@@ -578,96 +573,36 @@ func (r *run) execute(ctx context.Context, mcnCfg mcn.Config) {
 		src = tap
 	}
 
-	var result map[string]any
-	switch r.sink {
-	case "count":
-		var sum scenario.Summary
-		if sum, err = scenario.Drain(src); err == nil {
-			result = map[string]any{
-				"events":            sum.Events,
-				"first_time":        sum.FirstTime,
-				"last_time":         sum.LastTime,
-				"peak_rate":         sum.PeakRate,
-				"peak_window_start": sum.PeakWindowStart,
-			}
-		}
-	case "mcn":
-		mcnCfg.Live = r.mcnLive
-		mcnCfg.LatencySink = r.mcnLatHist
-		var rep *mcn.Report
-		if rep, err = scenario.RunMCN(src, mcnCfg); err == nil {
-			result = map[string]any{
-				"events":          rep.Events,
-				"rejected":        rep.Rejected,
-				"ues":             rep.UEs,
-				"latency_mean_ms": 1e3 * rep.MeanLatencySec,
-				"latency_p95_ms":  1e3 * rep.P95LatencySec,
-				"latency_p99_ms":  1e3 * rep.P99LatencySec,
-				"peak_rate":       rep.PeakRate,
-				"max_instances":   rep.MaxInstancesUsed,
-			}
-		}
-	case "jsonl", "csv":
-		var n int64
-		if n, err = r.writeFile(ctx, src, tap); err == nil {
-			result = map[string]any{"events": n, "out": r.out}
-			if b := r.breaker.Load(); b != nil && b.dropped.Load() > 0 {
-				result["dropped"] = b.dropped.Load()
-			}
-		}
-	case "replay":
-		// The pacer already paces against wall clock, so the replay drivers
-		// run unpaced (Speedup 0) on top of it. A DELETE cancels the pacer,
-		// which drains cleanly: the driver sees end-of-source, finishes the
-		// in-flight window and completes the STATS/BYE handshake, so the
-		// server-side session always ends on a frame boundary.
-		if r.closedLoop {
-			var cst replaynet.ClosedStats
-			copts := replaynet.ClosedOpts{
-				Live: r.replayLive, RTTSink: r.replayRTTHist,
-				// A journaled run fixes its session identity at submission so
-				// a resumed incarnation rejoins the server-side session and
-				// skips everything the server already applied — exactly-once
-				// end to end.
-				SessionID:  r.sessionID,
-				ResumeFrom: r.replayResumeFrom,
-			}
-			if cst, err = scenario.ReplayClosed(r.addr, src, copts); err == nil {
-				result = map[string]any{
-					"events":          cst.Server.Events,
-					"rejected":        cst.Server.Rejected,
-					"duplicates":      cst.Server.Duplicates,
-					"sent":            cst.Sent,
-					"acked":           cst.Acked,
-					"retransmits":     cst.Retransmits,
-					"reconnects":      cst.Reconnects,
-					"latency_mean_ms": float64(cst.MeanLatency) / 1e6,
-					"latency_p99_ms":  float64(cst.P99Latency) / 1e6,
-					"achieved_rate":   cst.AchievedRate,
-				}
-			}
-		} else {
-			var rst replaynet.Stats
-			if rst, err = scenario.ReplayTCP(r.addr, src, replaynet.ReplayOpts{}); err == nil {
-				result = map[string]any{
-					"events":             rst.Events,
-					"rejected":           rst.Rejected,
-					"peak_connected_ues": rst.PeakConnectedUEs,
-				}
-			}
-		}
-	default:
-		err = fmt.Errorf("served: unknown sink %q", r.sink)
+	// The daemon's sink inputs are its file-writer chain and the hooks
+	// behind /runs/{id}/stats and /metrics. A journaled closed-loop run
+	// fixed its session identity at submission, so a resumed incarnation
+	// rejoins the server-side session exactly-once. A DELETE cancels the
+	// pacer, which drains cleanly: a file sink flushes, a replay driver
+	// finishes its in-flight window and the STATS/BYE handshake.
+	mcnCfg.Live = r.mcnLive
+	mcnCfg.LatencySink = r.mcnLatHist
+	in := scenario.SinkInputs{
+		File: func() (*scenario.FileSink, error) { return r.openFile(ctx, tap) },
+		MCN:  &mcnCfg,
+		Closed: replaynet.ClosedOpts{
+			Live: r.replayLive, RTTSink: r.replayRTTHist,
+			SessionID: r.sessionID, ResumeFrom: r.replayResumeFrom,
+		},
 	}
-
-	switch {
-	case err != nil:
+	res, err := scenario.RunSink(src, r.sink, in)
+	if err != nil {
 		r.finish(StateFailed, err, nil)
-	case pacer.Stopped():
-		r.finish(StateStopped, nil, result)
-	default:
-		r.finish(StateDone, nil, result)
+		return
 	}
+	result := res.Fields()
+	if b := r.breaker.Load(); b != nil && b.dropped.Load() > 0 {
+		result["dropped"] = b.dropped.Load()
+	}
+	state := StateDone
+	if pacer.Stopped() {
+		state = StateStopped
+	}
+	r.finish(state, nil, result)
 }
 
 // sinkWriterTestHook, when non-nil, wraps the sink file below the retry
@@ -675,10 +610,11 @@ func (r *run) execute(ctx context.Context, mcnCfg mcn.Config) {
 // faults through.
 var sinkWriterTestHook atomic.Pointer[func(runID string, w io.Writer) io.Writer]
 
-// writeFile drains the source into the run's jsonl/csv output file,
-// gzip-compressing a ".gz" path. The writer chain is flushed and closed
-// before the event count is returned, so a stopped run's file is complete
-// up to its last released event — never truncated mid-line.
+// openFile opens the run's jsonl/csv output as the file sink's writer
+// chain: file, test hook, retry with byte counter, gzip for a ".gz" path, and
+// the degrade policy's circuit breaker on top. The sink flushes and closes
+// the chain before the event count is returned, so a stopped run's file
+// is complete up to its last released event — never truncated mid-line.
 //
 // On a resumed run the file is cut back to the checkpoint's durable byte
 // cursor and appended to; with the bit-identical regenerated suffix this
@@ -689,96 +625,74 @@ var sinkWriterTestHook atomic.Pointer[func(runID string, w io.Writer) io.Writer]
 // flushes the encoder and fsyncs the file before each checkpoint is
 // recorded — a checkpoint always implies a durable sink prefix covering
 // exactly the events at or before its key.
-func (r *run) writeFile(ctx context.Context, src scenario.EventSource, tap *ckptTap) (int64, error) {
-	gz := strings.HasSuffix(r.out, ".gz")
+func (r *run) openFile(ctx context.Context, tap *ckptTap) (*scenario.FileSink, error) {
+	out := r.sink.Out
+	gz := strings.HasSuffix(out, ".gz")
 	resumed := r.resume != nil && !gz
-	var (
-		f         *os.File
-		err       error
-		baseLines int64
-	)
+	flag := os.O_RDWR | os.O_CREATE | os.O_TRUNC // os.Create's flags
 	if resumed {
-		c := r.resume
-		baseLines = c.SinkLines
-		f, err = os.OpenFile(r.out, os.O_WRONLY, 0o644)
-		if err == nil {
-			if terr := f.Truncate(c.SinkBytes); terr != nil {
-				err = terr
-			} else if _, serr := f.Seek(c.SinkBytes, io.SeekStart); serr != nil {
-				err = serr
-			}
-			if err != nil {
-				f.Close()
-			}
+		flag = os.O_WRONLY
+	}
+	f, err := os.OpenFile(out, flag, 0o666)
+	if err == nil && resumed {
+		if err = f.Truncate(r.resume.SinkBytes); err == nil {
+			_, err = f.Seek(r.resume.SinkBytes, io.SeekStart)
 		}
-	} else {
-		f, err = os.Create(r.out)
+		if err != nil {
+			f.Close()
+		}
 	}
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	var base io.Writer = f
 	if hook := sinkWriterTestHook.Load(); hook != nil {
 		base = (*hook)(r.id, f)
 	}
-	cw := &countingWriter{w: &retryWriter{w: base, retries: &r.sinkRetries}}
+	cw := &retryWriter{w: base, retries: &r.sinkRetries}
+	fs := &scenario.FileSink{W: cw}
 	if resumed {
 		cw.n = r.resume.SinkBytes
+		fs.Lines = r.resume.SinkLines
 	}
-	var w io.Writer = cw
 	var gzw *gzip.Writer
 	if gz {
 		gzw = gzip.NewWriter(cw)
-		w = gzw
+		fs.W = gzw
 	}
-	if r.degrade == DegradeDrop || r.degrade == DegradePause {
+	var bw *breakerWriter
+	if d := r.sink.Degrade; d == scenario.DegradeDrop || d == scenario.DegradePause {
 		// The breaker sits above the byte-counting layer, so dropped
 		// writes never reach the durable-cursor arithmetic and resumed
 		// checkpoints stay exact.
-		bw := newBreakerWriter(w, ctx, r.degrade, r.id)
+		bw = newBreakerWriter(fs.W, ctx, d, r.id)
 		r.breaker.Store(bw)
-		defer bw.finishSpan()
-		w = bw
-	}
-	lw, lerr := scenario.NewLineWriter(w, r.sink, src.UEID, !resumed)
-	if lerr != nil {
-		f.Close()
-		return 0, lerr
+		fs.W = bw
 	}
 	if tap != nil && !gz {
-		tap.syncSink = func(c *runlog.Checkpoint) bool {
-			if lw.Flush() != nil || f.Sync() != nil {
-				return false
+		fs.Bind = func(lw *scenario.LineWriter) {
+			tap.syncSink = func(c *runlog.Checkpoint) bool {
+				if lw.Flush() != nil || f.Sync() != nil {
+					return false
+				}
+				c.SinkBytes = cw.n
+				c.SinkLines = fs.Lines + int64(lw.Count())
+				return true
 			}
-			c.SinkBytes = cw.n
-			c.SinkLines = baseLines + int64(lw.Count())
-			return true
 		}
 	}
-	sp := tracez.Begin(tracez.StageScenarioSink, "")
-	defer func() { sp.End(int64(lw.Count()), r.sink) }()
-	for {
-		e, ok := src.Next()
-		if !ok {
-			break
+	fs.Close = func() error {
+		var err error
+		if gzw != nil {
+			err = gzw.Close()
 		}
-		if err = lw.Write(e); err != nil {
-			break
+		if bw != nil {
+			bw.finishSpan()
 		}
-	}
-	if err == nil {
-		err = src.Err()
-	}
-	if ferr := lw.Flush(); err == nil {
-		err = ferr
-	}
-	if gzw != nil {
-		if cerr := gzw.Close(); err == nil {
+		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
+		return err
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return baseLines + int64(lw.Count()), err
+	return fs, nil
 }

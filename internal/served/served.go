@@ -459,22 +459,10 @@ func validateStart(req *StartRequest) error {
 	if req.UEs < 0 {
 		return errors.New("ues must be ≥ 0")
 	}
-	switch req.Sink {
-	case "", "count", "mcn":
-		if req.Out != "" {
-			return fmt.Errorf("sink %q takes no out path", req.Sink)
-		}
-	case "jsonl", "csv":
-		if req.Out == "" {
-			return fmt.Errorf("sink %q requires out (server-side output path)", req.Sink)
-		}
-	case "replay":
-		if req.Out != "" {
-			return fmt.Errorf("sink %q takes no out path", req.Sink)
-		}
-		if req.Addr == "" {
-			return errors.New(`sink "replay" requires addr (replaynet server address)`)
-		}
+	if err := req.sinkSpec().Validate(); err != nil {
+		return err
+	}
+	if req.Addr != "" {
 		// Probe reachability now so a bad address is a 400, not a run that
 		// starts, spins up the pipeline and then fails.
 		conn, err := net.DialTimeout("tcp", req.Addr, 2*time.Second)
@@ -482,16 +470,6 @@ func validateStart(req *StartRequest) error {
 			return fmt.Errorf("replay addr %q unreachable: %w", req.Addr, err)
 		}
 		conn.Close()
-	default:
-		return fmt.Errorf("unknown sink %q (want count, mcn, jsonl, csv or replay)", req.Sink)
-	}
-	if req.Sink != "replay" {
-		if req.Addr != "" {
-			return fmt.Errorf("sink %q takes no addr", req.Sink)
-		}
-		if req.ClosedLoop {
-			return fmt.Errorf("closed_loop only applies to the replay sink")
-		}
 	}
 	if req.MaxSpillBytes < 0 || req.MaxEvents < 0 {
 		return errors.New("max_spill_bytes and max_events must be ≥ 0")
@@ -499,16 +477,15 @@ func validateStart(req *StartRequest) error {
 	if req.MaxWallSeconds < 0 || req.ShedAfterLagSeconds < 0 {
 		return errors.New("max_wall_seconds and shed_after_lag_seconds must be ≥ 0")
 	}
-	switch req.Degrade {
-	case "", DegradeFail:
-	case DegradeDrop, DegradePause:
-		if req.Sink != "jsonl" && req.Sink != "csv" {
-			return fmt.Errorf("degrade %q only applies to the jsonl and csv sinks", req.Degrade)
-		}
-	default:
-		return fmt.Errorf("unknown degrade policy %q (want fail, drop or pause)", req.Degrade)
-	}
 	return nil
+}
+
+// sinkSpec is the request's sink description.
+func (req *StartRequest) sinkSpec() scenario.SinkSpec {
+	return scenario.SinkSpec{
+		Kind: req.Sink, Out: req.Out, Addr: req.Addr,
+		ClosedLoop: req.ClosedLoop, Degrade: req.Degrade,
+	}
 }
 
 func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
@@ -529,9 +506,9 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	sink := body.Sink
-	if sink == "" {
-		sink = "count"
+	sink := body.sinkSpec()
+	if sink.Kind == "" {
+		sink.Kind = "count"
 	}
 	parallelism := body.Parallelism
 	if parallelism == 0 {
@@ -542,19 +519,14 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 		scenarioName: name,
 		spec:         spec,
 		sink:         sink,
-		out:          body.Out,
-		addr:         body.Addr,
-		closedLoop:   body.ClosedLoop,
 		ues:          body.UEs,
 		compression:  body.Compression,
 		done:         make(chan struct{}),
-		decode:       make(map[string]*cptgpt.DecodeStats),
 		state:        StateGenerating,
 		startedAt:    time.Now(),
 		poolBase:     tensor.PoolLoad(),
 		ckptEvery:    int64(s.opts.CheckpointEvents),
 		ckptInterval: s.opts.CheckpointInterval,
-		degrade:      body.Degrade,
 		shedAfter:    time.Duration(body.ShedAfterLagSeconds * float64(time.Second)),
 		admitUEs:     admissionUEs(body.UEs, spec),
 		overBudget:   s.overBudgetInc,
@@ -565,38 +537,16 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 			SpillUsed:     &s.admission.spill,
 		},
 	}
-	if s.opts.JournalDir != "" && sink == "replay" && body.ClosedLoop {
+	if s.opts.JournalDir != "" && sink.ClosedLoop {
 		// Fix the replay session identity at submission (the same derivation
 		// the closed-loop driver defaults to) so a resumed incarnation can
 		// rejoin the server-side session.
 		r.sessionID = uint64(time.Now().UnixNano())*2654435761 + 1
 	}
-	for _, src := range spec.Sources {
-		if src.Kind == "cptgpt" {
-			r.decode[src.ID] = &cptgpt.DecodeStats{}
-		}
-	}
-	if sink == "mcn" {
-		r.mcnLive = &mcn.LiveStats{}
-	}
-	if sink == "replay" && body.ClosedLoop {
-		r.replayLive = &replaynet.LiveStats{}
-	}
-	r.opts = scenario.RunOpts{
-		UEs:         body.UEs,
-		Parallelism: parallelism,
-		BatchSize:   body.BatchSize,
-		TempDir:     s.opts.TempDir,
-		Precision:   body.Precision,
-		Speculative: body.Speculative,
-		DraftTokens: body.DraftTokens,
-		Budget:      r.budget,
-		LoadModel:   s.loadModel,
-		SourceStats: func(id string) *cptgpt.DecodeStats { return r.decode[id] },
-		// r.stepHists is populated by registerRunMetrics before the run
-		// goroutine launches, so the closure reads a settled map.
-		SourceStepHist: func(id string) *telemetry.Histogram { return r.stepHists[id] },
-	}
+	s.wireRun(r, scenario.RunOpts{
+		UEs: body.UEs, Parallelism: parallelism, BatchSize: body.BatchSize,
+		Precision: body.Precision, Speculative: body.Speculative, DraftTokens: body.DraftTokens,
+	})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
@@ -666,11 +616,38 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 		s.openJournal(r)
 	}
 	s.log.Infow("run started", "run", r.id, "scenario", r.scenarioName,
-		"sink", r.sink, "ues", r.ues, "compression", r.compression)
+		"sink", r.sink.Kind, "ues", r.ues, "compression", r.compression)
 
 	s.launch(r, ctx, cancel)
 
 	writeJSON(w, http.StatusCreated, r.info())
+}
+
+// wireRun completes a new or resumed run's telemetry plumbing: decode
+// stats per cptgpt source, the live block its sink publishes into (the
+// simulator's for mcn, the transport's for closed-loop replay) and the
+// RunOpts hooks that feed them.
+func (s *Server) wireRun(r *run, opts scenario.RunOpts) {
+	r.decode = make(map[string]*cptgpt.DecodeStats)
+	for _, src := range r.spec.Sources {
+		if src.Kind == "cptgpt" {
+			r.decode[src.ID] = &cptgpt.DecodeStats{}
+		}
+	}
+	if r.sink.Kind == "mcn" {
+		r.mcnLive = &mcn.LiveStats{}
+	}
+	if r.sink.ClosedLoop {
+		r.replayLive = &replaynet.LiveStats{}
+	}
+	opts.TempDir = s.opts.TempDir
+	opts.Budget = r.budget
+	opts.LoadModel = s.loadModel
+	opts.SourceStats = func(id string) *cptgpt.DecodeStats { return r.decode[id] }
+	// r.stepHists is populated by registerRunMetrics before the run
+	// goroutine launches, so the closure reads a settled map.
+	opts.SourceStepHist = func(id string) *telemetry.Histogram { return r.stepHists[id] }
+	r.opts = opts
 }
 
 // executeTestHook, when non-nil, runs in the run goroutine before
@@ -763,7 +740,7 @@ func (s *Server) registerRunMetrics(r *run) {
 	r.pacerRateHist = s.reg.Histogram("cptserved_pacer_window_rate",
 		"Distribution of achieved events/s over 1-second pacer windows.",
 		telemetry.RateBuckets, lbl...)
-	if r.degrade == DegradeDrop || r.degrade == DegradePause {
+	if d := r.sink.Degrade; d == scenario.DegradeDrop || d == scenario.DegradePause {
 		s.reg.GaugeFunc("cptserved_breaker_state",
 			"Sink circuit breaker: 0 closed, 1 open, 2 half-open.",
 			r.breakerState, lbl...)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -427,6 +428,66 @@ func TestDaemonValidation(t *testing.T) {
 	do(t, "GET", ts.URL+"/runs", nil, &list, http.StatusOK)
 	if len(list.Runs) != 0 {
 		t.Fatalf("rejected requests created runs: %+v", list.Runs)
+	}
+}
+
+// TestSinkValidationTable runs every sink kind × out/addr/closed_loop/
+// degrade combination through both validation front doors — the daemon's
+// validateStart and scenario.SinkSpec.Validate, which cptscenario calls —
+// against one table (../scenario/testdata/sink_validation.txt) of expected
+// messages. ADDR in the table is a live listener, so the daemon's
+// reachability probe passes.
+func TestSinkValidationTable(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	data, err := os.ReadFile(filepath.Join("..", "scenario", "testdata", "sink_validation.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.SplitN(line, "|", 6)
+		if len(f) != 6 {
+			t.Fatalf("malformed table row %q", line)
+		}
+		rows++
+		req := StartRequest{
+			Scenario: "flash-crowd", Sink: f[0], Out: f[1],
+			ClosedLoop: f[3] == "true", Degrade: f[4],
+		}
+		if f[2] == "ADDR" {
+			req.Addr = ln.Addr().String()
+		}
+		msg := func(err error) string {
+			if err == nil {
+				return "ok"
+			}
+			return err.Error()
+		}
+		if got := msg(validateStart(&req)); got != f[5] {
+			t.Errorf("validateStart(%s): %q, want %q", line, got, f[5])
+		}
+		if got := msg(req.sinkSpec().Validate()); got != f[5] {
+			t.Errorf("SinkSpec.Validate(%s): %q, want %q", line, got, f[5])
+		}
+	}
+	if rows != 7*2*2*2*5 {
+		t.Fatalf("table has %d rows, want every one of the 280 combinations", rows)
 	}
 }
 

@@ -9,17 +9,17 @@ import (
 
 // Buckets describes a log-spaced histogram bucket scheme: bucket 0 holds
 // values below Min, then PerDecade buckets per decade up to Max, then one
-// overflow bucket. This is the scheme mcn.LatencyHist introduced for O(1)
-// latency distributions; it lives here so mcn, replaynet and the telemetry
-// registry agree on one bucketing (and one set of Prometheus `le` edges).
+// overflow bucket: O(1) memory for any sample count. It lives here so mcn,
+// replaynet and the telemetry registry agree on one bucketing (and one set
+// of Prometheus `le` edges).
 type Buckets struct {
 	Min       float64 // lower edge of the first log bucket
 	Max       float64 // values >= Max land in the overflow bucket
 	PerDecade int     // buckets per factor-of-10
 }
 
-// LatencyBuckets spans 10µs..10ks at 16 buckets/decade — the exact edges of
-// mcn.LatencyHist, used for every duration-valued histogram in the repo.
+// LatencyBuckets spans 10µs..10ks at 16 buckets/decade, used for every
+// duration-valued histogram in the repo.
 var LatencyBuckets = Buckets{Min: 1e-5, Max: 1e4, PerDecade: 16}
 
 // RateBuckets spans 0.01..10M events/s at 16 buckets/decade, for
@@ -33,11 +33,12 @@ func (b Buckets) NumBuckets() int {
 	return 2 + b.PerDecade*decades
 }
 
-// Index returns the bucket index for value v. The formula is identical to
-// mcn.LatencyHist.Add so the two histograms fill the same buckets for the
-// same samples.
-func (b Buckets) Index(v float64) int {
-	n := b.NumBuckets()
+// Index returns the bucket index for value v — the bucket Histogram.Observe
+// fills for the same sample.
+func (b Buckets) Index(v float64) int { return b.index(v, b.NumBuckets()) }
+
+// index is Index with the bucket count n precomputed.
+func (b Buckets) index(v float64, n int) int {
 	switch {
 	case v < b.Min:
 		return 0
@@ -70,9 +71,10 @@ func (b Buckets) UpperEdge(i int) float64 {
 // per bucket plus an exact atomic sum, so hot loops (pacer releases, decode
 // steps, replay ACK folds) can Observe from any goroutine without locks.
 // It renders as a native Prometheus histogram (cumulative `_bucket{le=...}`
-// series, `_sum`, `_count`). The quantile semantics match mcn.LatencyHist:
-// the upper edge of the bucket holding the requested rank, clamped to
-// [Min, Max].
+// series, `_sum`, `_count`). Quantiles read the upper edge of the bucket
+// holding the requested rank, clamped to [Min, Max]; the mean is exact. It
+// backs every latency report in the repo (the mcn simulator, closed-loop
+// replay, the SLO controller) as well as the /metrics series.
 type Histogram struct {
 	b       Buckets
 	counts  []atomic.Int64
@@ -99,19 +101,7 @@ func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
-	var idx int
-	switch {
-	case v < h.b.Min:
-		idx = 0
-	case v >= h.b.Max:
-		idx = len(h.counts) - 1
-	default:
-		idx = 1 + int(math.Floor(math.Log10(v/h.b.Min)*float64(h.b.PerDecade)))
-		if idx > len(h.counts)-2 {
-			idx = len(h.counts) - 2
-		}
-	}
-	h.counts[idx].Add(1)
+	h.counts[h.b.index(v, len(h.counts))].Add(1)
 	for {
 		old := h.sumBits.Load()
 		nw := math.Float64bits(math.Float64frombits(old) + v)
@@ -142,9 +132,8 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
-// Quantile returns the upper edge of the bucket containing the q-quantile,
-// with mcn.LatencyHist's rank and clamp semantics (underflow reads Min,
-// overflow reads Max, 0 when empty).
+// Quantile returns the upper edge of the bucket containing the q-quantile
+// (rank ⌊q·(n-1)⌋; underflow reads Min, overflow reads Max, 0 when empty).
 func (h *Histogram) Quantile(q float64) float64 {
 	n := h.Count()
 	if n == 0 {
@@ -162,6 +151,15 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.b.Max
+}
+
+// Reset empties the histogram for reuse (the SLO controller's per-window
+// accounting). Not atomic against a concurrent Observe.
+func (h *Histogram) Reset() {
+	for i := range h.counts {
+		h.counts[i].Store(0)
+	}
+	h.sumBits.Store(0)
 }
 
 // bucketSig splices an `le` label into a series' canonical label signature.
