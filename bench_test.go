@@ -266,7 +266,7 @@ func benchGenerate(b *testing.B, opts cptgpt.GenOpts) {
 }
 
 // BenchmarkCPTGPTGeneratePerStream measures the parallel batched engine at
-// the default settings (Parallelism = GOMAXPROCS, lockstep batches): a
+// the default settings (Parallelism = GOMAXPROCS, continuous batching): a
 // UE population decoded per op, with amortized ns/stream reported. Compare
 // against ...PerStreamSerial for the parallel speedup; both paths emit
 // bit-identical streams (see internal/cptgpt batch tests).
@@ -355,27 +355,18 @@ func BenchmarkCPTGPTDecodeTokenF64(b *testing.B) { benchDecodeToken(b, cptgpt.F6
 // speed costs: ~1e-6 logit drift, indistinguishable trace marginals).
 func BenchmarkCPTGPTDecodeTokenF32(b *testing.B) { benchDecodeToken(b, cptgpt.F32) }
 
-// benchGenerateSkewed times end-to-end generation of a population whose
-// stream lengths are heavily skewed (an untrained model's stop head fires
-// geometrically, so most streams are short and a tail runs long — the shape
-// real scenarios produce; here: mean ≈ 12 tokens, p99 ≈ 65). One decoder
-// (Parallelism: 1) fans its active slots over the tensor pool at the
-// machine's default width, which is how the scheduling difference
-// manifests: lockstep drains each batch down to its longest stream, so its
-// tail steps occupy one pool worker with one slot while the rest idle, and
-// what work remains loses the group weight-sweep amortization; continuous
-// batching reseats retired slots immediately, keeping the fan-out full and
-// the per-group weight sweep amortized over a full batch. On a single-core
-// machine the two converge (per-token cost dominates); on a multi-worker
-// pool (CI's 4 vCPUs) the occupancy gap is the headline ~1.2–1.4×.
-// Decode runs the f32 fast path, whose group kernels are where the
-// amortization lives; both schedulers emit bit-identical streams.
-func benchGenerateSkewed(b *testing.B, lockstep bool) {
-	b.Helper()
+// BenchmarkCPTGPTGenerateSkewedContinuous times end-to-end generation of a
+// population whose stream lengths are heavily skewed (an untrained model's
+// stop head fires geometrically, so most streams are short and a tail runs
+// long — the shape real scenarios produce; here: mean ≈ 12 tokens, p99 ≈
+// 65) through the continuous-batching scheduler, which reseats retired
+// slots immediately and so keeps every pass's stacked GEMM full. Decode
+// runs the f32 fast path with one decoder (Parallelism: 1).
+func BenchmarkCPTGPTGenerateSkewedContinuous(b *testing.B) {
 	m := paperScaleModel(b)
 	opts := cptgpt.GenOpts{
 		NumStreams: 256, Device: events.Phone, Seed: 42, Precision: cptgpt.F32,
-		Parallelism: 1, BatchSize: 32, Lockstep: lockstep,
+		Parallelism: 1, BatchSize: 32,
 	}
 	// One warm-up run counts the emitted tokens for the ns/token metric
 	// (fixed seed, so every iteration emits the same population).
@@ -397,23 +388,13 @@ func benchGenerateSkewed(b *testing.B, lockstep bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tokens), "ns/token")
 }
 
-// BenchmarkCPTGPTGenerateSkewedContinuous measures the continuous-batching
-// scheduler on the skewed-length population.
-func BenchmarkCPTGPTGenerateSkewedContinuous(b *testing.B) { benchGenerateSkewed(b, false) }
-
-// BenchmarkCPTGPTGenerateSkewedLockstep is the retire-whole-batch companion
-// (the pre-continuous scheduler) over the identical population — the
-// baseline for the ≥ 1.2× per-stream continuous-batching win. Both paths
-// emit bit-identical streams (GenOpts.Lockstep changes scheduling only).
-func BenchmarkCPTGPTGenerateSkewedLockstep(b *testing.B) { benchGenerateSkewed(b, true) }
-
 // benchDecodeSpeculative measures speculative decoding end-to-end on the
-// same skewed population as benchGenerateSkewed: draft chains of k=4 from
-// the model's self-fitted n-gram, one multi-token verify pass per chain,
-// exact acceptance–rejection. Reported ns/token counts EMITTED tokens, the
-// apples-to-apples throughput currency against the plain decode
-// benchmarks; accept% is the fraction of drafted tokens that survived
-// verification (from BatchDecoder.Stats via GenOpts.Stats).
+// same skewed population as BenchmarkCPTGPTGenerateSkewedContinuous: draft
+// chains of k=4 from the model's self-fitted n-gram, one multi-token verify
+// pass per chain, exact acceptance–rejection. Reported ns/token counts
+// EMITTED tokens, the apples-to-apples throughput currency against the
+// plain decode benchmarks; accept% is the fraction of drafted tokens that
+// survived verification (from BatchDecoder.Stats via GenOpts.Stats).
 func benchDecodeSpeculative(b *testing.B, prec cptgpt.Precision) {
 	b.Helper()
 	m := paperScaleModel(b)
@@ -450,11 +431,10 @@ func benchDecodeSpeculative(b *testing.B, prec cptgpt.Precision) {
 
 // BenchmarkCPTGPTDecodeSpeculativeF32 is the speculative-decoding headline:
 // compare its ns/token against BenchmarkCPTGPTGenerateSkewedContinuous
-// (the PR 4 continuous-batching f32 path over the identical population
-// shape) — the acceptance bar is ≥ 1.5× tokens/s at k = 4. The win is the
-// multi-token verify kernel: prefill-shaped k-row GEMMs run ~5× the
-// scalar matvec throughput on AVX2, and the acceptance rate converts most
-// verified positions into emitted tokens.
+// (the continuous-batching f32 path over the identical population shape).
+// Plain passes already stack every slot's row into one GEMM, so a verify
+// row costs about what a plain row costs: speculation gains only what the
+// acceptance rate turns into emitted tokens per pass.
 func BenchmarkCPTGPTDecodeSpeculativeF32(b *testing.B) { benchDecodeSpeculative(b, cptgpt.F32) }
 
 // BenchmarkCPTGPTDecodeSpeculativeF64 is the float64 companion: the same
@@ -463,6 +443,45 @@ func BenchmarkCPTGPTDecodeSpeculativeF32(b *testing.B) { benchDecodeSpeculative(
 // single-token stepping), so this isolates the scheduling cost of
 // speculation from the kernel win.
 func BenchmarkCPTGPTDecodeSpeculativeF64(b *testing.B) { benchDecodeSpeculative(b, cptgpt.F64) }
+
+// benchGenerateRangeOneChunk decodes one scenario chunk the way the
+// scenario engine's source binding does — GenerateRange at Parallelism 1
+// with the default decoder batch — with no other decoder running: a
+// default-size scenario (1000 UEs, under one 1024-stream chunk) is exactly
+// this. It is the lone-decoder side of the pass scheduling choice, where
+// each pass spreads over the tensor pool; gpt-spec-mcn's chunk workers
+// cover the cores and measure the other side.
+func benchGenerateRangeOneChunk(b *testing.B, prec cptgpt.Precision) {
+	b.Helper()
+	m := paperScaleModel(b)
+	opts := cptgpt.GenOpts{Device: events.Phone, Seed: 42, Precision: prec, Parallelism: 1}
+	const streams = 128
+	warm, err := m.GenerateRange(0, streams, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tokens := 0
+	for i := range warm {
+		tokens += len(warm[i].Events)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.GenerateRange(0, streams, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tokens), "ns/token")
+}
+
+// BenchmarkCPTGPTGenerateRangeOneChunkF64 is a lone f64 chunk decode.
+func BenchmarkCPTGPTGenerateRangeOneChunkF64(b *testing.B) {
+	benchGenerateRangeOneChunk(b, cptgpt.F64)
+}
+
+// BenchmarkCPTGPTGenerateRangeOneChunkF32 is a lone f32 chunk decode.
+func BenchmarkCPTGPTGenerateRangeOneChunkF32(b *testing.B) {
+	benchGenerateRangeOneChunk(b, cptgpt.F32)
+}
 
 // BenchmarkCPTGPTVerifyKTokens measures the raw multi-token verify kernel:
 // ns per verified position when every slot consumes k=4-token chains

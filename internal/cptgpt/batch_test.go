@@ -318,3 +318,29 @@ func TestGenerateRangeMatchesGenerate(t *testing.T) {
 		t.Fatal("inverted range must error")
 	}
 }
+
+// TestLoneDecoderFansOut pins the pass scheduling rule for a lone decoder —
+// a one-chunk scenario calling GenerateRange at Parallelism 1: with no other
+// decoder running, its passes spread over the tensor pool instead of staying
+// on one core, and the live-decoder count drops back to zero afterwards.
+func TestLoneDecoderFansOut(t *testing.T) {
+	prev := tensor.SetParallelism(2)
+	defer tensor.SetParallelism(prev)
+	m, err := NewModel(smallConfig(), FitTokenizer(testTrainingData(t, 30)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prec := range []Precision{F64, F32} {
+		before := tensor.PoolLoad().ValidPolls
+		opts := GenOpts{Device: events.Phone, Seed: 3, Precision: prec, Parallelism: 1, BatchSize: 8}
+		if _, err := m.GenerateRange(0, 16, opts); err != nil {
+			t.Fatal(err)
+		}
+		if tensor.PoolLoad().ValidPolls == before {
+			t.Errorf("%s: a lone decoder ran every pass on its own goroutine", prec)
+		}
+		if n := decoding.Load(); n != 0 {
+			t.Fatalf("%s: %d decoders still counted as running after GenerateRange returned", prec, n)
+		}
+	}
+}

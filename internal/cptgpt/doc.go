@@ -9,13 +9,13 @@
 // Determinism contract, per decoding path:
 //
 //   - Plain f64 decoding (the default) is bit-identical at every
-//     Parallelism × BatchSize × scheduling mode: each stream consumes only
+//     Parallelism × BatchSize: each stream consumes only
 //     its own index-seeded RNG and slot state, so who decodes it when
 //     cannot matter.
-//   - f32 decoding fixes every per-row reduction order, so it is
-//     deterministic per (Seed, Precision) at every Parallelism × BatchSize
-//     × slot grouping — but differs numerically from f64 within the
-//     fidelity gates pinned by the package tests.
+//   - f32 decoding fixes every per-row reduction order and no reduction
+//     crosses rows, so it is deterministic per (Seed, Precision) at every
+//     Parallelism × BatchSize × pass composition — but differs numerically
+//     from f64 within the fidelity gates pinned by the package tests.
 //   - Speculative decoding is deterministic per (Seed, DraftTokens) and
 //     distributionally exact (acceptance–rejection preserves plain
 //     sampling's per-position conditionals), but consumes RNG draws

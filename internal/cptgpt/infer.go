@@ -14,8 +14,8 @@ import (
 // verified against Model.Forward in the package tests.
 //
 // The decoder owns all of its scratch, so a step performs no allocations in
-// steady state; BatchDecoder in batch.go runs many of these row kernels in
-// lockstep over a shared cache layout.
+// steady state; BatchDecoder in batch.go runs many of these row kernels side
+// by side over a shared cache layout.
 type decoder struct {
 	m   *Model
 	pos int
@@ -204,9 +204,21 @@ func linearRowInto(dst, row []float64, l *nn.Linear) {
 		if x == 0 {
 			continue
 		}
+		// A 4-way unroll: every dst[j] still takes the same operations in
+		// the same order (bit-identical to the plain loop), but the loop
+		// branches once per four elements, so its speed no longer hinges
+		// on where the linker happens to place it.
 		wRow := l.W.Data[k*cols : (k+1)*cols]
-		for j, w := range wRow {
-			dst[j] += x * w
+		d := dst[:len(wRow)]
+		j := 0
+		for ; j+4 <= len(wRow); j += 4 {
+			d[j] += x * wRow[j]
+			d[j+1] += x * wRow[j+1]
+			d[j+2] += x * wRow[j+2]
+			d[j+3] += x * wRow[j+3]
+		}
+		for ; j < len(wRow); j++ {
+			d[j] += x * wRow[j]
 		}
 	}
 }

@@ -7,20 +7,21 @@ import (
 	"cptgpt/internal/tensor"
 )
 
-// Fused float32 row kernels of the decode fast path. They mirror the float64
-// kernels in infer.go but trade bit-compatibility for throughput:
+// Float32 kernels of the decode fast path. They mirror the float64 kernels
+// in infer.go but trade bit-compatibility for throughput:
 //
+//   - Every linear layer of a pass runs as one tensor.GemmF32 over the
+//     stacked rows of all the pass's slots (AVX2+FMA where the machine has
+//     it), with the GELU of the feed-forward up-projection and the ReLUs of
+//     the output heads fused into the kernel's store.
 //   - attendRowF32 computes attention scores, the softmax and the weighted
 //     value sum in ONE pass over the interleaved KV cache (online softmax
 //     with running max/sum per head), instead of the three passes the
 //     float64 kernel makes. Every cached row is touched exactly once.
-//   - ffGeluRowF32 fuses the MLP up-projection matvec with the GELU, so the
-//     hidden activation is finished the moment its dot product is.
-//   - Linear layers run through tensor.MatVecF32 over transposed panels
-//     (unit-stride weight reads, 4-way unrolled accumulation).
 //
-// All loops are sequential with a fixed order, so F32 decoding is
-// deterministic — the per-precision half of the determinism contract.
+// Every kernel has a fixed order and no reduction crosses rows, so F32
+// decoding is deterministic — the per-precision half of the determinism
+// contract.
 
 // negInf32 seeds the online-softmax running max.
 var negInf32 = float32(math.Inf(-1))
@@ -29,44 +30,6 @@ var negInf32 = float32(math.Inf(-1))
 // argument is ≤ 0 by construction in the online softmax).
 func exp32(x float32) float32 {
 	return float32(math.Exp(float64(x)))
-}
-
-// tanh32 is a float32 tanh via the classic 13/6-degree rational minimax
-// approximation (the Eigen/XNNPACK fast-tanh polynomial), accurate to a few
-// float32 ULP over the clamped range — indistinguishable from math.Tanh at
-// float32 precision, at a fraction of its cost (no float64 round trip, no
-// table lookups; ~10 multiplies and one divide).
-func tanh32(x float32) float32 {
-	const clamp = 7.90531110763549805 // tanh(±clamp) rounds to ±1 in float32
-	if x > clamp {
-		x = clamp
-	} else if x < -clamp {
-		x = -clamp
-	}
-	const (
-		a1  = 4.89352455891786e-03
-		a3  = 6.37261928875436e-04
-		a5  = 1.48572235717979e-05
-		a7  = 5.12229709037114e-08
-		a9  = -8.60467152213735e-11
-		a11 = 2.00018790482477e-13
-		a13 = -2.76076847742355e-16
-		b0  = 4.89352518554385e-03
-		b2  = 2.26843463243900e-03
-		b4  = 1.18534705686654e-04
-		b6  = 1.19825839466702e-06
-	)
-	x2 := x * x
-	p := x * (a1 + x2*(a3+x2*(a5+x2*(a7+x2*(a9+x2*(a11+x2*a13))))))
-	q := b0 + x2*(b2+x2*(b4+x2*b6))
-	return p / q
-}
-
-// gelu32 is the tanh-form GELU at float32 precision (same formula as the
-// float64 gelu in infer.go, computed through tanh32).
-func gelu32(x float32) float32 {
-	const c = 0.7978845608028654
-	return 0.5 * x * (1 + tanh32(c*(x+0.044715*x*x*x)))
 }
 
 // attendRowF32 computes one stream's multi-head attention output for query q
@@ -143,254 +106,124 @@ func layerNormRowF32(dst, row []float32, l *nn.LayerNormF32) {
 	}
 }
 
-// ffGeluGroupF32 fuses the feed-forward up-projection with the GELU
-// activation for a whole slot group: dst row s gets gelu(bias + x_s·wT),
-// with the weight 4-row block as the outer loop (loaded once, L1-hot across
-// the group — the same cross-slot amortization as tensor.MatVecGroupF32)
-// and each hidden activation finished the moment its dot product is.
-// Per-row results are independent of the grouping.
-func ffGeluGroupF32(dst []float32, dstStride int, l *nn.LinearF32, x []float32, xStride int, group []int) {
-	in := l.In
-	j := 0
-	for ; j+4 <= l.Out; j += 4 {
-		w0 := l.WT[j*in : (j+1)*in]
-		w1 := l.WT[(j+1)*in : (j+2)*in]
-		w2 := l.WT[(j+2)*in : (j+3)*in]
-		w3 := l.WT[(j+3)*in : (j+4)*in]
-		b0, b1, b2, b3 := l.B[j], l.B[j+1], l.B[j+2], l.B[j+3]
-		for _, s := range group {
-			r0, r1, r2, r3 := tensor.Dot4F32(x[s*xStride:s*xStride+in], w0, w1, w2, w3)
-			d := dst[s*dstStride+j : s*dstStride+j+4]
-			d[0] = gelu32(b0 + r0)
-			d[1] = gelu32(b1 + r1)
-			d[2] = gelu32(b2 + r2)
-			d[3] = gelu32(b3 + r3)
-		}
-	}
-	for ; j < l.Out; j++ {
-		w0 := l.WT[j*in : (j+1)*in]
-		for _, s := range group {
-			dst[s*dstStride+j] = gelu32(l.B[j] + tensor.Dot1F32(x[s*xStride:s*xStride+in], w0))
-		}
-	}
-}
-
-// stepGroupF32K is the float32 multi-token verify / prefill kernel: it
-// advances each slot of slots[lo:hi] by its ks count of tokens in one pass.
-// Where stepGroupF32 amortizes weight traffic across slots (one row each),
-// this kernel amortizes across a slot's k known rows as well: every linear
-// layer runs as a k-row GEMM per slot (tensor.GemmF32 — AVX2+FMA where the
-// machine has it), with the layer loop outer and the slot loop inner so a
-// weight panel fetched for one slot stays cache-hot for the rest of the
-// shard. Attention stays per-row — row r's fused online-softmax pass sees
-// exactly the slot's cache up to position pos+r, which is what keeps the
-// pass causally identical to single-token stepping.
-//
-// Per-(slot, row) results are independent of the shard composition and the
-// worker fan-out: GEMM row results don't depend on the rows batched with
-// them, and every other kernel is per-row with a fixed order. With the
-// scalar GEMM fallback the outputs are bit-identical to k successive Step
-// calls; with the assembly GEMM they agree within float32 rounding (wider
-// reduction order) and remain deterministic per machine.
-func (d *BatchDecoder) stepGroupF32K(slots, ks []int, lo, hi, kMax int, tokens []float64) {
-	m := d.m
-	inf := d.inf
-	dm := m.Cfg.DModel
-	dim := m.Tok.Dim()
-	maxLen := m.Cfg.MaxLen
-	heads := m.Cfg.Heads
-	v := m.Tok.V()
-	mlpH := m.Cfg.MLPHidden
-	iaW := len(d.iaOut) / d.capacity
-	kst := d.kMax // row stride of the K scratch buffers (≥ kMax)
+// stepRowsF32 runs slots[lo:hi] of a pass through the float32 kernels over
+// the frozen InferModel snapshot. Slot slots[i] consumes its ks[i] token
+// rows, stacked at pass rows [d.off[i], d.off[i+1]), and every linear layer
+// runs as one GEMM over the shard's rows. The per-row work — positional
+// embedding, layer norms, residual adds, attention over the slot's own KV
+// rows, widening the head outputs to float64 — runs row by row in pass
+// order, so row r of a slot lands its keys and values and then attends to
+// exactly the cache through its own position. A pass is therefore causally
+// identical to single-token steps, and since GEMM rows are independent,
+// bit-identical to them.
+func (d *BatchDecoder) stepRowsF32(slots, ks []int, lo, hi, kMax int, tokens []float64) {
+	m, inf := d.m, d.inf
+	dm, dim, heads, v := m.Cfg.DModel, m.Tok.Dim(), m.Cfg.Heads, m.Tok.V()
+	r0, r1 := d.off[lo], d.off[hi]
+	n := r1 - r0
+	// rows returns the shard's rows of a pass buffer of row width w.
+	rows := func(buf []float32, w int) []float32 { return buf[r0*w : r1*w] }
 
 	// Token intake (and the past-MaxLen panic, before any work).
 	for i := lo; i < hi; i++ {
-		slot, k := slots[i], ks[i]
-		if d.pos[slot]+k > maxLen {
+		slot := slots[i]
+		if d.pos[slot]+ks[i] > m.Cfg.MaxLen {
 			panic("cptgpt: BatchDecoder stepped past MaxLen")
 		}
-		for r := 0; r < k; r++ {
-			tensor.F32From(d.tokK32[(slot*kst+r)*dim:(slot*kst+r+1)*dim],
-				tokens[(slot*kMax+r)*dim:(slot*kMax+r+1)*dim])
+		for r := 0; r < ks[i]; r++ {
+			row, src := d.off[i]+r, (slot*kMax+r)*dim
+			d.rowSlot[row], d.rowPos[row] = slot, d.pos[slot]+r
+			tensor.F32From(d.tok32[row*dim:(row+1)*dim], tokens[src:src+dim])
 		}
 	}
 
-	// Input projection + positional embeddings.
-	for i := lo; i < hi; i++ {
-		slot, k := slots[i], ks[i]
-		base := slot * kst
-		tensor.GemmF32(d.xK32[base*dm:(base+k)*dm], inf.inProj.WT, inf.inProj.B,
-			d.tokK32[base*dim:(base+k)*dim], k, dim, dm)
-		for r := 0; r < k; r++ {
-			x := d.xK32[(base+r)*dm : (base+r+1)*dm]
-			pe := inf.posEmb[(d.pos[slot]+r)*dm : (d.pos[slot]+r+1)*dm]
-			for j := range x {
-				x[j] += pe[j]
-			}
-		}
+	x, t := rows(d.x32, dm), rows(d.tmp32, dm)
+	inf.inProj.Apply(x, rows(d.tok32, dim), n, tensor.ActNone)
+	for row := r0; row < r1; row++ {
+		tensor.AxpyF32(d.x32[row*dm:(row+1)*dm], 1, inf.posEmb[d.rowPos[row]*dm:(d.rowPos[row]+1)*dm])
 	}
 
 	stride := 2 * dm
-	slotKV := maxLen * stride
+	slotKV := m.Cfg.MaxLen * stride
 	for bi := range inf.blocks {
 		b := &inf.blocks[bi]
 		// Attention sub-layer (pre-norm, residual).
-		for i := lo; i < hi; i++ {
-			slot, k := slots[i], ks[i]
-			base := slot * kst
-			for r := 0; r < k; r++ {
-				layerNormRowF32(d.tmpK32[(base+r)*dm:(base+r+1)*dm], d.xK32[(base+r)*dm:(base+r+1)*dm], &b.ln1)
-			}
-			tensor.GemmF32(d.qK32[base*dm:(base+k)*dm], b.wq.WT, b.wq.B, d.tmpK32[base*dm:(base+k)*dm], k, dm, dm)
-			tensor.GemmF32(d.kK32[base*dm:(base+k)*dm], b.wk.WT, b.wk.B, d.tmpK32[base*dm:(base+k)*dm], k, dm, dm)
-			tensor.GemmF32(d.vK32[base*dm:(base+k)*dm], b.wv.WT, b.wv.B, d.tmpK32[base*dm:(base+k)*dm], k, dm, dm)
-			pos := d.pos[slot]
+		layerNormRowsF32(t, x, dm, &b.ln1)
+		b.wq.Apply(rows(d.q32, dm), t, n, tensor.ActNone)
+		b.wk.Apply(rows(d.k32, dm), t, n, tensor.ActNone)
+		b.wv.Apply(rows(d.v32, dm), t, n, tensor.ActNone)
+		for row := r0; row < r1; row++ {
+			slot, pos := d.rowSlot[row], d.rowPos[row]
 			kv := d.kv32[(bi*d.capacity+slot)*slotKV : (bi*d.capacity+slot+1)*slotKV]
-			for r := 0; r < k; r++ {
-				kvRow := kv[(pos+r)*stride : (pos+r+1)*stride]
-				copy(kvRow[:dm], d.kK32[(base+r)*dm:(base+r+1)*dm])
-				copy(kvRow[dm:], d.vK32[(base+r)*dm:(base+r+1)*dm])
-			}
-			// Causal: row r attends to exactly the cache through pos+r.
-			for r := 0; r < k; r++ {
-				attendRowF32(d.attK32[(base+r)*dm:(base+r+1)*dm], d.qK32[(base+r)*dm:(base+r+1)*dm], kv,
-					pos+r+1, b.heads, dm, d.mAcc32[slot*heads:(slot+1)*heads], d.lAcc32[slot*heads:(slot+1)*heads])
-			}
-			tensor.GemmF32(d.tmpK32[base*dm:(base+k)*dm], b.wo.WT, b.wo.B, d.attK32[base*dm:(base+k)*dm], k, dm, dm)
-			for r := 0; r < k; r++ {
-				x := d.xK32[(base+r)*dm : (base+r+1)*dm]
-				tmp := d.tmpK32[(base+r)*dm : (base+r+1)*dm]
-				for j := range x {
-					x[j] += tmp[j]
-				}
-			}
+			copy(kv[pos*stride:pos*stride+dm], d.k32[row*dm:(row+1)*dm])
+			copy(kv[pos*stride+dm:(pos+1)*stride], d.v32[row*dm:(row+1)*dm])
+			attendRowF32(d.att32[row*dm:(row+1)*dm], d.q32[row*dm:(row+1)*dm], kv,
+				pos+1, b.heads, dm, d.mAcc32[slot*heads:(slot+1)*heads], d.lAcc32[slot*heads:(slot+1)*heads])
 		}
+		b.wo.Apply(t, rows(d.att32, dm), n, tensor.ActNone)
+		tensor.AxpyF32(x, 1, t)
 
-		// Feed-forward sub-layer (pre-norm, residual).
-		for i := lo; i < hi; i++ {
-			slot, k := slots[i], ks[i]
-			base := slot * kst
-			for r := 0; r < k; r++ {
-				layerNormRowF32(d.tmpK32[(base+r)*dm:(base+r+1)*dm], d.xK32[(base+r)*dm:(base+r+1)*dm], &b.ln2)
-			}
-			ff := d.ffK32[base*mlpH : (base+k)*mlpH]
-			tensor.GemmF32(ff, b.ffIn.WT, b.ffIn.B, d.tmpK32[base*dm:(base+k)*dm], k, dm, mlpH)
-			for j := range ff {
-				ff[j] = gelu32(ff[j])
-			}
-			tensor.GemmF32(d.tmpK32[base*dm:(base+k)*dm], b.ffOut.WT, b.ffOut.B, ff, k, mlpH, dm)
-			for r := 0; r < k; r++ {
-				x := d.xK32[(base+r)*dm : (base+r+1)*dm]
-				tmp := d.tmpK32[(base+r)*dm : (base+r+1)*dm]
-				for j := range x {
-					x[j] += tmp[j]
-				}
-			}
-		}
+		// Feed-forward sub-layer (pre-norm, residual), GELU fused.
+		layerNormRowsF32(t, x, dm, &b.ln2)
+		ff := rows(d.ff32, m.Cfg.MLPHidden)
+		b.ffIn.Apply(ff, t, n, tensor.ActGELU)
+		b.ffOut.Apply(t, ff, n, tensor.ActNone)
+		tensor.AxpyF32(x, 1, t)
 	}
 
 	// Final norm, output heads, widening.
+	layerNormRowsF32(t, x, dm, &inf.final)
+	hid, hid2 := rows(d.hid32, d.hw), rows(d.hid232, d.hw)
+	ev, ia, stop := rows(d.evOut32, v), rows(d.iaOut32, d.iaW), rows(d.stopOut32, 2)
+	mlpF32(ev, hid, hid2, t, n, &inf.eventHd)
+	mlpF32(ia, hid, hid2, t, n, &inf.iaHd)
+	mlpF32(stop, hid, hid2, t, n, &inf.stopHd)
+	widenF32(d.evOut[r0*v:r1*v], ev)
+	widenF32(d.iaOut[r0*d.iaW:r1*d.iaW], ia)
+	widenF32(d.stopOut[r0*2:r1*2], stop)
+	for row := r0; row < r1; row++ {
+		fillStepOut(&d.rowOuts[row], m.Cfg.DistHead, d.evOut[row*v:(row+1)*v],
+			d.iaOut[row*d.iaW:(row+1)*d.iaW], d.stopOut[row*2:(row+1)*2])
+	}
 	for i := lo; i < hi; i++ {
-		slot, k := slots[i], ks[i]
-		base := slot * kst
-		for r := 0; r < k; r++ {
-			layerNormRowF32(d.tmpK32[(base+r)*dm:(base+r+1)*dm], d.xK32[(base+r)*dm:(base+r+1)*dm], &inf.final)
-		}
-		x := d.tmpK32[base*dm : (base+k)*dm]
-		hw := d.hkw()
-		hid := d.hidK32[base*hw:]
-		hid2 := d.hidK232[base*hw:]
-		mlpGemmF32K(d.evOutK32[base*v:(base+k)*v], hid, hid2, x, &inf.eventHd, k)
-		mlpGemmF32K(d.iaOutK32[base*iaW:(base+k)*iaW], hid, hid2, x, &inf.iaHd, k)
-		mlpGemmF32K(d.stopOutK32[base*2:(base+k)*2], hid, hid2, x, &inf.stopHd, k)
-
-		outs := d.outsK[i][:k]
-		for r := 0; r < k; r++ {
-			row := base + r
-			evOut := d.evOutK[row*v : (row+1)*v]
-			iaOut := d.iaOutK[row*iaW : (row+1)*iaW]
-			stopOut := d.stopOutK[row*2 : (row+1)*2]
-			for j, val := range d.evOutK32[row*v : (row+1)*v] {
-				evOut[j] = float64(val)
-			}
-			for j, val := range d.iaOutK32[row*iaW : (row+1)*iaW] {
-				iaOut[j] = float64(val)
-			}
-			for j, val := range d.stopOutK32[row*2 : (row+1)*2] {
-				stopOut[j] = float64(val)
-			}
-			fillStepOut(&outs[r], m.Cfg.DistHead, evOut, iaOut, stopOut)
-		}
-		d.pos[slot] += k
+		d.pos[slots[i]] += ks[i]
 	}
 }
 
-// hkw returns the per-row width of the multi-token hidden scratch.
-func (d *BatchDecoder) hkw() int { return len(d.hidK32) / (d.capacity * d.kMax) }
-
-// mlpGemmF32K applies an exported MLP (ReLU between layers) to k packed
-// rows: every layer is one k-row GEMM, intermediate activations ping-pong
-// through hid/hid2 (each with room for k × widest-layer values, packed at
-// the layer's own width). Per-row arithmetic matches mlpGroupF32's exactly
-// under the scalar GEMM.
-func mlpGemmF32K(dst, hid, hid2 []float32, x []float32, m *nn.MLPF32, k int) {
+// mlpF32 applies an exported MLP to n rows of x, writing the last layer into
+// dst: every layer is one GEMM, the ReLU between layers fused into it, and
+// intermediate activations ping-pong through hid/hid2 (each with room for n
+// rows of the widest layer).
+func mlpF32(dst, hid, hid2, x []float32, n int, m *nn.MLPF32) {
 	cur := x
 	last := len(m.Layers) - 1
 	for i := range m.Layers {
 		l := &m.Layers[i]
-		var next []float32
+		next, act := dst, tensor.ActReLU
 		switch {
 		case i == last:
-			next = dst[:k*l.Out]
+			act = tensor.ActNone
 		case i%2 == 0:
-			next = hid[:k*l.Out]
+			next = hid
 		default:
-			next = hid2[:k*l.Out]
+			next = hid2
 		}
-		tensor.GemmF32(next, l.WT, l.B, cur, k, l.In, l.Out)
-		if i != last {
-			for j := range next {
-				if next[j] < 0 {
-					next[j] = 0
-				}
-			}
-		}
-		cur = next
+		l.Apply(next[:n*l.Out], cur, n, act)
+		cur = next[:n*l.Out]
 	}
 }
 
-// mlpGroupF32 applies an exported MLP (ReLU between layers) to a group of
-// slot-major rows, writing the final layer into dst. hid and hid2 (stride
-// hw) are ping-pong scratch wide enough for every intermediate layer; the
-// input rows are never modified. Every layer runs as a group matvec so
-// weight panels are read once per group.
-func mlpGroupF32(dst []float32, dstStride int, hid, hid2 []float32, hw int, x []float32, xStride int, m *nn.MLPF32, group []int) {
-	cur, curStride := x, xStride
-	last := len(m.Layers) - 1
-	for i := range m.Layers {
-		l := &m.Layers[i]
-		var next []float32
-		var nextStride int
-		switch {
-		case i == last:
-			next, nextStride = dst, dstStride
-		case i%2 == 0:
-			next, nextStride = hid, hw
-		default:
-			next, nextStride = hid2, hw
-		}
-		tensor.MatVecGroupF32(next, nextStride, l.WT, l.B, cur, curStride, l.In, l.Out, group)
-		if i != last {
-			for _, s := range group {
-				row := next[s*nextStride : s*nextStride+l.Out]
-				for j := range row {
-					if row[j] < 0 {
-						row[j] = 0
-					}
-				}
-			}
-		}
-		cur, curStride = next, nextStride
+// layerNormRowsF32 layer-normalizes every width-w row of x into dst.
+func layerNormRowsF32(dst, x []float32, w int, l *nn.LayerNormF32) {
+	for i := 0; i < len(x); i += w {
+		layerNormRowF32(dst[i:i+w], x[i:i+w], l)
+	}
+}
+
+// widenF32 converts src into dst element by element (exact).
+func widenF32(dst []float64, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = float64(v)
 	}
 }

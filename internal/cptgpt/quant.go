@@ -52,11 +52,10 @@ func ParsePrecision(s string) (Precision, error) {
 }
 
 // InferModel is a frozen float32 inference snapshot of a Model: every weight
-// matrix converted once into a contiguous float32 row-major panel (linears
-// transposed so the decode matvec reads each output's weights with unit
-// stride). The snapshot is immutable and shares no storage with the live
-// float64 parameters, so any number of BatchDecoders — across goroutines —
-// can read it concurrently.
+// matrix converted once into float32 (linears packed into the panels the
+// decode GEMM reads, see tensor.PackF32). The snapshot is immutable and
+// shares no storage with the live float64 parameters, so any number of
+// BatchDecoders — across goroutines — can read it concurrently.
 type InferModel struct {
 	inProj nn.LinearF32
 	posEmb []float32 // MaxLen × DModel

@@ -46,9 +46,9 @@ func TestInferSnapshotInvalidation(t *testing.T) {
 	if m.Infer() != a {
 		t.Fatal("Infer must cache the snapshot")
 	}
-	w0 := a.inProj.WT[0]
+	w0 := a.inProj.W[0]
 	m.InProj.W.Data[0] += 100
-	if a.inProj.WT[0] != w0 {
+	if a.inProj.W[0] != w0 {
 		t.Fatal("snapshot aliases live weights")
 	}
 	m.InvalidateInfer()
@@ -56,7 +56,7 @@ func TestInferSnapshotInvalidation(t *testing.T) {
 	if b == a {
 		t.Fatal("InvalidateInfer must drop the cached snapshot")
 	}
-	if float64(b.inProj.WT[0]) == float64(w0) {
+	if float64(b.inProj.W[0]) == float64(w0) {
 		t.Fatal("re-frozen snapshot must see the updated weight")
 	}
 }
@@ -152,22 +152,17 @@ func TestF32GenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		par, batch int
-		lockstep   bool
-	}{
-		{1, 1, false}, {1, 23, false}, {8, 4, false}, {3, 7, false},
-		{1, 1, true}, {8, 4, true},
+	for _, c := range []struct{ par, batch int }{
+		{1, 1}, {1, 23}, {8, 4}, {3, 7},
 	} {
 		opts := base
 		opts.Parallelism = c.par
 		opts.BatchSize = c.batch
-		opts.Lockstep = c.lockstep
 		got, err := m.Generate(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameStreams(t, fmt.Sprintf("f32 parallelism=%d batch=%d lockstep=%v", c.par, c.batch, c.lockstep), want.Streams, got.Streams)
+		sameStreams(t, fmt.Sprintf("f32 parallelism=%d batch=%d", c.par, c.batch), want.Streams, got.Streams)
 	}
 
 	// GenerateRange must reproduce the same population chunk-wise.

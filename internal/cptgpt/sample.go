@@ -43,12 +43,6 @@ type GenOpts struct {
 	// BatchSize is the number of decode slots per BatchDecoder; 0 means
 	// DefaultBatchSize. Output is identical at every batch size.
 	BatchSize int
-	// Lockstep disables continuous slot refill: each batch of BatchSize
-	// streams is retired in full before the next batch starts, idling slots
-	// whose streams stopped early. This is the pre-continuous scheduler,
-	// kept as a benchmarking companion (see BenchmarkCPTGPTGenerateSkewed*);
-	// output is identical either way.
-	Lockstep bool
 	// StartWindow, when positive, offsets each stream's start uniformly in
 	// [0, StartWindow) seconds so downstream consumers (e.g. an MCN) do
 	// not see a synchronized t=0 attach storm. Interarrivals, sojourns and
@@ -61,10 +55,10 @@ type GenOpts struct {
 	// speculate.go). Output remains deterministic per Seed at every
 	// Parallelism × BatchSize, but differs stream-by-stream from the
 	// non-speculative paths (different RNG consumption); workload
-	// statistics match within the fidelity gates. Implies continuous
-	// batching (Lockstep is ignored). The throughput win needs the
-	// distribution head (the default); under the Table 8 ablation chains
-	// cannot extend and speculation degrades to plain decoding speed.
+	// statistics match within the fidelity gates. The throughput win needs
+	// high draft acceptance and the distribution head (the default); under
+	// the Table 8 ablation chains cannot extend and speculation degrades to
+	// plain decoding speed.
 	Speculative bool
 	// DraftTokens is the number of draft tokens proposed per verify pass
 	// (the speculation depth k); 0 means DefaultDraftTokens. Output is
@@ -112,10 +106,9 @@ func streamSeed(seed uint64, i int) uint64 {
 // the first emitted event, consuming the stream's own RNG. Like sampleStep
 // for the per-token draws, this is the single copy of the bootstrap draw
 // order (init.Sample, then the StartWindow uniform) that the serial,
-// lockstep, continuous and speculative schedulers all share — the
-// bit-identical-output and per-seed determinism contracts are exactly
-// "same draws in the same order", so this helper is the only place that
-// order may be defined.
+// continuous and speculative schedulers all share — the bit-identical-output
+// and per-seed determinism contracts are exactly "same draws in the same
+// order", so this helper is the only place that order may be defined.
 func bootStream(s *trace.Stream, globalIdx int, opts GenOpts, init *stats.Categorical, vocab []events.Type, rng *rand.Rand) (evIdx int, start float64) {
 	s.UEID = fmt.Sprintf("gen-%s-%06d", opts.Device, globalIdx)
 	s.Device = opts.Device
@@ -137,11 +130,10 @@ func bootStream(s *trace.Stream, globalIdx int, opts GenOpts, init *stats.Catego
 // BatchSize slots and claims stream indices from a shared counter; the
 // moment a slot's stream emits STOP, the slot is reset and reseated with the
 // next pending stream, so all slots stay hot even under heavily skewed
-// stream-length distributions (GenOpts.Lockstep restores the retire-whole-
-// batch scheduler for comparison). For a fixed Seed and Precision the output
-// is bit-identical at every Parallelism, BatchSize and scheduling mode —
-// every stream consumes only its own index-seeded RNG and its own slot
-// state, so who decodes it when cannot matter.
+// stream-length distributions. For a fixed Seed and Precision the output
+// is bit-identical at every Parallelism and BatchSize — every stream
+// consumes only its own index-seeded RNG and its own slot state, so who
+// decodes it when cannot matter.
 func (m *Model) Generate(opts GenOpts) (*trace.Dataset, error) {
 	if opts.NumStreams <= 0 {
 		return nil, fmt.Errorf("cptgpt: NumStreams must be positive, got %d", opts.NumStreams)
@@ -178,44 +170,20 @@ func (m *Model) Generate(opts GenOpts) (*trace.Dataset, error) {
 
 	streams := make([]trace.Stream, opts.NumStreams)
 	var wg sync.WaitGroup
-	if opts.Lockstep && !opts.Speculative {
-		// Legacy scheduler: fixed index ranges, each batch retired in full.
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// One decoder per worker, reused (Reset) across its batches.
-				dec := m.NewBatchDecoder(batch, opts.Precision)
-				dec.SetStepHist(opts.StepHist)
-				defer func() { addDecodeStats(opts.Stats, dec.Stats()) }()
-				for bi := range jobs {
-					lo := bi * batch
-					hi := min(lo+batch, opts.NumStreams)
-					m.sampleBatch(dec, streams[lo:hi], lo, opts, init)
-				}
-			}()
-		}
-		for bi := 0; bi < numBatches; bi++ {
-			jobs <- bi
-		}
-		close(jobs)
-	} else {
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				dec := m.NewBatchDecoder(batch, opts.Precision)
-				dec.SetStepHist(opts.StepHist)
-				defer func() { addDecodeStats(opts.Stats, dec.Stats()) }()
-				if opts.Speculative {
-					m.sampleSpeculative(dec, streams, 0, &next, opts, init, draft)
-				} else {
-					m.sampleContinuous(dec, streams, 0, &next, opts, init)
-				}
-			}()
-		}
+	var next atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dec := m.NewBatchDecoder(batch, opts.Precision)
+			dec.SetStepHist(opts.StepHist)
+			defer func() { addDecodeStats(opts.Stats, dec.Stats()) }()
+			if opts.Speculative {
+				m.sampleSpeculative(dec, streams, 0, &next, opts, init, draft)
+			} else {
+				m.sampleContinuous(dec, streams, 0, &next, opts, init)
+			}
+		}()
 	}
 	wg.Wait()
 
@@ -256,21 +224,14 @@ func (m *Model) GenerateRange(lo, hi int, opts GenOpts) ([]trace.Stream, error) 
 	dec := m.NewBatchDecoder(batch, opts.Precision)
 	dec.SetStepHist(opts.StepHist)
 	defer func() { addDecodeStats(opts.Stats, dec.Stats()) }()
-	switch {
-	case opts.Speculative:
+	var next atomic.Int64
+	if opts.Speculative {
 		draft := opts.DraftModel
 		if draft == nil {
 			draft = m.SelfDraft()
 		}
-		var next atomic.Int64
 		m.sampleSpeculative(dec, streams, lo, &next, opts, init, draft)
-	case opts.Lockstep:
-		for blo := 0; blo < n; blo += batch {
-			bhi := min(blo+batch, n)
-			m.sampleBatch(dec, streams[blo:bhi], lo+blo, opts, init)
-		}
-	default:
-		var next atomic.Int64
+	} else {
 		m.sampleContinuous(dec, streams, lo, &next, opts, init)
 	}
 	return streams, nil
@@ -279,8 +240,8 @@ func (m *Model) GenerateRange(lo, hi int, opts GenOpts) ([]trace.Stream, error) 
 // sampleStep draws one decode step's fields from the head outputs: the next
 // event index, the scaled interarrival (Gaussian-sampled under DistHead,
 // deterministic scalar in the Table 8 ablation) and the stop flag. It is
-// the single copy of the per-token RNG draw order that the serial,
-// lockstep and continuous schedulers all share — the bit-identical-output
+// the single copy of the per-token RNG draw order that the serial and
+// continuous schedulers share — the bit-identical-output
 // contract between them is exactly "same draws in the same order", so this
 // helper is the only place that order may be defined.
 func (m *Model) sampleStep(so StepOut, temp float64, rng *rand.Rand, probs []float64) (nextEv int, scaled float64, stopIdx int) {
@@ -304,9 +265,10 @@ func (m *Model) sampleStep(so StepOut, temp float64, rng *rand.Rand, probs []flo
 // slot is reset and reseated with a fresh claim instead of idling until the
 // rest of the batch drains. Per-stream output is invariant to seating: a
 // stream's events depend only on its own index-seeded RNG and its own slot
-// region, which is why continuous and lockstep scheduling emit bit-identical
-// datasets.
+// region, which is why every seating order emits a bit-identical dataset.
 func (m *Model) sampleContinuous(dec *BatchDecoder, out []trace.Stream, baseIdx int, next *atomic.Int64, opts GenOpts, init *stats.Categorical) {
+	decoding.Add(1)
+	defer decoding.Add(-1)
 	capacity := dec.Capacity()
 	dim := m.Tok.Dim()
 	vocab := m.Tok.Vocab()
@@ -387,58 +349,6 @@ func (m *Model) sampleContinuous(dec *BatchDecoder, out []trace.Stream, baseIdx 
 			}
 		}
 		active, keep = keep, active
-	}
-}
-
-// sampleBatch decodes len(out) UE streams (global indices baseIdx+i) in
-// lockstep through dec. Streams leave the active set as they emit stop
-// flags; the batch finishes when every stream has stopped or hit MaxLen —
-// retired slots idle until then, which is what GenOpts.Lockstep exists to
-// measure against continuous batching.
-func (m *Model) sampleBatch(dec *BatchDecoder, out []trace.Stream, baseIdx int, opts GenOpts, init *stats.Categorical) {
-	n := len(out)
-	dec.Reset()
-	dim := m.Tok.Dim()
-	vocab := m.Tok.Vocab()
-
-	rngs := make([]*rand.Rand, n)
-	times := make([]float64, n)
-	toks := make([]float64, n*dim)
-	probs := make([]float64, m.Tok.V())
-	active := make([]int, 0, n)
-
-	// Bootstrap every stream through the shared helper, consuming the same
-	// RNG draws in the same order as the serial reference path.
-	for i := range out {
-		rng := stats.NewRand(streamSeed(opts.Seed, baseIdx+i))
-		rngs[i] = rng
-		s := &out[i]
-		evIdx, start := bootStream(s, baseIdx+i, opts, init, vocab, rng)
-		m.Tok.writeToken(toks[i*dim:(i+1)*dim], evIdx, 0, 0)
-		times[i] = start
-		if len(s.Events) < m.Cfg.MaxLen {
-			active = append(active, i)
-		}
-	}
-
-	next := make([]int, 0, n)
-	for len(active) > 0 {
-		outs := dec.Step(active, toks)
-		next = next[:0]
-		for j, slot := range active {
-			rng := rngs[slot]
-			s := &out[slot]
-
-			nextEv, scaled, stopIdx := m.sampleStep(outs[j], opts.Temperature, rng, probs)
-			times[slot] += m.Tok.UnscaleIA(scaled)
-			s.Events = append(s.Events, trace.Event{Time: times[slot], Type: vocab[nextEv]})
-			if stopIdx == 1 || len(s.Events) >= m.Cfg.MaxLen {
-				continue
-			}
-			m.Tok.writeToken(toks[slot*dim:(slot+1)*dim], nextEv, scaled, stopIdx)
-			next = append(next, slot)
-		}
-		active, next = next, active
 	}
 }
 

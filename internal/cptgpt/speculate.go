@@ -16,8 +16,8 @@ import (
 // Plain decoding pays one full forward per emitted token. Speculative
 // decoding has a cheap draft model (an SMM or n-gram proposer, draft.go)
 // guess a chain of k tokens, runs all k through the transformer in ONE
-// prefill-shaped pass (BatchDecoder.StepK, whose k-row GEMMs run ~5× the
-// per-token matvec throughput on AVX2 machines), and then plays the
+// prefill-shaped pass (BatchDecoder.StepK, whose rows join the pass's
+// stacked GEMMs), and then plays the
 // standard speculative acceptance–rejection game position by position:
 //
 //   - a drafted value x, proposed with probability/density q(x), is
@@ -59,8 +59,7 @@ import (
 // per-stream order, and StepK's per-slot results are independent of batch
 // composition, so speculative output is deterministic per seed at every
 // Parallelism × BatchSize × DraftTokens — though its streams differ from
-// the non-speculative paths' (different RNG consumption), which remain
-// bit-identical to PR 4.
+// the non-speculative paths' (different RNG consumption).
 
 // draftTokens resolves the per-pass draft chain length.
 func (o GenOpts) draftTokens() int {
@@ -227,6 +226,8 @@ func stopContinueProb(logits [2]float64, temp float64) float64 {
 // behind the pending token, verifies the whole chain in one StepK pass, and
 // accepts a prefix.
 func (m *Model) sampleSpeculative(dec *BatchDecoder, out []trace.Stream, baseIdx int, next *atomic.Int64, opts GenOpts, init *stats.Categorical, draft DraftModel) {
+	decoding.Add(1)
+	defer decoding.Add(-1)
 	capacity := dec.Capacity()
 	dim := m.Tok.Dim()
 	vocab := m.Tok.Vocab()

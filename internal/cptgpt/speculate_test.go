@@ -30,35 +30,37 @@ func specTestModel(t *testing.T) (*Model, *trace.Dataset) {
 func TestSpeculativeGenerateDeterministic(t *testing.T) {
 	m, _ := specTestModel(t)
 	for _, prec := range []Precision{F64, F32} {
-		base := GenOpts{NumStreams: 23, Device: events.Phone, Seed: 99, StartWindow: 30,
-			Precision: prec, Speculative: true}
-		want, err := m.Generate(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range []struct{ par, batch int }{
-			{1, 1}, {1, 23}, {8, 4}, {3, 7},
-		} {
-			opts := base
-			opts.Parallelism = c.par
-			opts.BatchSize = c.batch
-			got, err := m.Generate(opts)
+		for _, k := range []int{1, 4, 7} {
+			base := GenOpts{NumStreams: 23, Device: events.Phone, Seed: 99, StartWindow: 30,
+				Precision: prec, Speculative: true, DraftTokens: k}
+			want, err := m.Generate(base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameStreams(t, fmt.Sprintf("spec %s parallelism=%d batch=%d", prec, c.par, c.batch), want.Streams, got.Streams)
-		}
-		// Chunked emission reproduces the full population.
-		var chunked []trace.Stream
-		for lo := 0; lo < base.NumStreams; lo += 7 {
-			hi := min(lo+7, base.NumStreams)
-			part, err := m.GenerateRange(lo, hi, base)
-			if err != nil {
-				t.Fatal(err)
+			for _, c := range []struct{ par, batch int }{
+				{1, 1}, {1, 23}, {8, 4}, {3, 7},
+			} {
+				opts := base
+				opts.Parallelism = c.par
+				opts.BatchSize = c.batch
+				got, err := m.Generate(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameStreams(t, fmt.Sprintf("spec %s k=%d parallelism=%d batch=%d", prec, k, c.par, c.batch), want.Streams, got.Streams)
 			}
-			chunked = append(chunked, part...)
+			// Chunked emission reproduces the full population.
+			var chunked []trace.Stream
+			for lo := 0; lo < base.NumStreams; lo += 7 {
+				hi := min(lo+7, base.NumStreams)
+				part, err := m.GenerateRange(lo, hi, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chunked = append(chunked, part...)
+			}
+			sameStreams(t, fmt.Sprintf("spec %s k=%d chunked range", prec, k), want.Streams, chunked)
 		}
-		sameStreams(t, fmt.Sprintf("spec %s chunked range", prec), want.Streams, chunked)
 	}
 }
 

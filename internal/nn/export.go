@@ -1,40 +1,37 @@
 package nn
 
+import "cptgpt/internal/tensor"
+
 // Inference weight export: frozen float32 snapshots of trained layers for
 // the decode fast path. Training keeps float64 (the optimizer's precision
 // contract is bit-exactness across batching), but autoregressive decoding is
 // read-only and memory-bandwidth bound, so a one-time conversion into
 // contiguous float32 panels roughly halves the traffic of every step.
 //
-// Linear weights are exported *transposed* (out×in, row-major) so the
-// inference matvec (tensor.MatVecF32) walks each output's weights with unit
-// stride. The snapshots share no storage with the live parameters: they are
-// value copies, safe to read from any number of goroutines while the source
-// model stays untouched.
+// Linear weights are exported in tensor.GemmF32's packed panel layout (see
+// tensor.PackF32), the one copy the decode GEMM reads. The snapshots share
+// no storage with the live parameters: they are value copies, safe to read
+// from any number of goroutines while the source model stays untouched.
 
-// LinearF32 is a frozen float32 snapshot of a Linear layer. WT is the
-// transposed out×in weight panel (output j's weights are the contiguous row
-// WT[j*In:(j+1)*In]); B is the bias.
+// LinearF32 is a frozen float32 snapshot of a Linear layer: W holds the
+// In×Out weights as packed panels and B the bias zero-padded to whole
+// panels (B[:Out] is the bias).
 type LinearF32 struct {
 	In, Out int
-	WT      []float32
-	B       []float32
+	W, B    []float32
 }
 
-// ExportF32 freezes the layer into a transposed float32 panel.
+// ExportF32 freezes the layer into packed float32 panels.
 func (l *Linear) ExportF32() LinearF32 {
 	in, out := l.W.Rows, l.W.Cols
-	e := LinearF32{In: in, Out: out, WT: make([]float32, in*out), B: make([]float32, out)}
-	for k := 0; k < in; k++ {
-		row := l.W.Data[k*out : (k+1)*out]
-		for j, w := range row {
-			e.WT[j*in+k] = float32(w)
-		}
-	}
-	for j, b := range l.B.Data {
-		e.B[j] = float32(b)
-	}
-	return e
+	w, b := tensor.PackF32(l.W.Data, l.B.Data, in, out)
+	return LinearF32{In: in, Out: out, W: w, B: b}
+}
+
+// Apply computes dst = act(x·W + B) for rows row-major input rows through
+// tensor.GemmF32.
+func (l *LinearF32) Apply(dst, x []float32, rows int, act tensor.Act) {
+	tensor.GemmF32(dst, x, rows, l.W, l.B, l.In, l.Out, act)
 }
 
 // LayerNormF32 is a frozen float32 snapshot of a LayerNorm.

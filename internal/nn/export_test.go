@@ -4,27 +4,42 @@ import (
 	"testing"
 
 	"cptgpt/internal/stats"
+	"cptgpt/internal/tensor"
 )
 
-func TestLinearExportF32Transposes(t *testing.T) {
+func TestLinearExportF32Packs(t *testing.T) {
 	rng := stats.NewRand(5)
-	l := NewLinear(7, 4, rng)
+	l := NewLinear(7, 20, rng) // two panels, the second one partial
+	l.B.Data[19] = 0.25
 	e := l.ExportF32()
-	if e.In != 7 || e.Out != 4 || len(e.WT) != 28 || len(e.B) != 4 {
-		t.Fatalf("bad export shape: %+v", e)
+	const pw = tensor.PanelW
+	if e.In != 7 || e.Out != 20 || len(e.W) != 2*7*pw || len(e.B) != 2*pw {
+		t.Fatalf("bad export shape: In %d Out %d len(W) %d len(B) %d", e.In, e.Out, len(e.W), len(e.B))
 	}
 	for k := 0; k < e.In; k++ {
-		for j := 0; j < e.Out; j++ {
-			if e.WT[j*e.In+k] != float32(l.W.Data[k*e.Out+j]) {
-				t.Fatalf("WT[%d,%d] = %v, want float32(W[%d,%d]) = %v",
-					j, k, e.WT[j*e.In+k], k, j, float32(l.W.Data[k*e.Out+j]))
+		for j := 0; j < 2*pw; j++ {
+			want := float32(0)
+			if j < e.Out {
+				want = float32(l.W.Data[k*e.Out+j])
+			}
+			if got := e.W[(j/pw*e.In+k)*pw+j%pw]; got != want {
+				t.Fatalf("packed W[%d][%d] = %v, want %v", k, j, got, want)
 			}
 		}
 	}
+	for j := range e.B {
+		want := float32(0)
+		if j < e.Out {
+			want = float32(l.B.Data[j])
+		}
+		if e.B[j] != want {
+			t.Fatalf("B[%d] = %v, want %v", j, e.B[j], want)
+		}
+	}
 	// Snapshot must not alias the live parameters.
-	before := e.WT[0]
+	before := e.W[0]
 	l.W.Data[0] += 1
-	if e.WT[0] != before {
+	if e.W[0] != before {
 		t.Fatal("export aliases live weights")
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"cptgpt/internal/faultnet"
 	"cptgpt/internal/replaynet"
 	"cptgpt/internal/runlog"
+	"cptgpt/internal/tensor"
 )
 
 // soakFor stretches TestChaosSoak to a full chaos soak; the default is a
@@ -485,6 +486,10 @@ func TestChaosSoak(t *testing.T) {
 		dur = 2 * time.Second
 	}
 
+	// The tensor worker pool lives for the whole process and is spawned by
+	// the first parallel kernel, possibly mid-soak; start it now so it is
+	// part of the baseline rather than counted as a leak.
+	tensor.ParallelFor(tensor.Parallelism(), 1<<15, func(int, int) {})
 	before := runtime.NumGoroutine()
 	func() {
 		var writes atomic.Int64

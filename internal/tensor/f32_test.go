@@ -42,6 +42,14 @@ func TestDotF32Deterministic(t *testing.T) {
 	}
 }
 
+// MatVecF32 is the test oracle for GemmF32: dst[j] = bias[j] + x·wT[j] over
+// a transposed (out×in, row-major) weight panel, one DotF32 per output.
+func MatVecF32(dst, wT, bias, x []float32, in, out int) {
+	for j := 0; j < out; j++ {
+		dst[j] = bias[j] + DotF32(x[:in], wT[j*in:(j+1)*in])
+	}
+}
+
 func TestMatVecF32(t *testing.T) {
 	rng := stats.NewRand(7)
 	const in, out = 13, 9
