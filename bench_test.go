@@ -13,6 +13,7 @@ package cptgen
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -127,26 +128,14 @@ func BenchmarkTensorMatMul128Serial(b *testing.B) {
 	}
 }
 
-// BenchmarkTensorMatMulBlocked256 times the cache-blocked, transpose-packed
-// MatMul kernel at 256³, pinned to one worker so the kernel effect is
-// isolated from pool sharding. Compare against ...Naive; both produce
-// bit-identical results (internal/tensor TestMatMulBlockedMatchesNaive).
+// BenchmarkTensorMatMulBlocked256 times MatMul at 256³, a shape that takes
+// the cache-blocked, transpose-packed kernels, pinned to one worker so the
+// kernel effect is isolated from pool sharding. The blocked kernels are
+// bit-identical to the naive ones (internal/tensor
+// TestMatMulBlockedMatchesNaive).
 func BenchmarkTensorMatMulBlocked256(b *testing.B) {
-	benchMatMul256(b, true)
-}
-
-// BenchmarkTensorMatMulBlocked256Naive pins the pre-blocking triple-loop
-// kernel over the same operands — the baseline for the blocked speedup.
-func BenchmarkTensorMatMulBlocked256Naive(b *testing.B) {
-	benchMatMul256(b, false)
-}
-
-func benchMatMul256(b *testing.B, blocked bool) {
-	b.Helper()
-	prevB := tensor.SetBlockedMatMul(blocked)
-	defer tensor.SetBlockedMatMul(prevB)
-	prevP := tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prevP)
+	prev := tensor.SetParallelism(1)
+	defer tensor.SetParallelism(prev)
 	rng := stats.NewRand(1)
 	x := tensor.Randn(256, 256, 1, rng)
 	y := tensor.Randn(256, 256, 1, rng)
@@ -198,12 +187,10 @@ func BenchmarkCPTGPTTrainEpoch(b *testing.B) {
 	benchTrainEpoch(b, CPTGPTTrainOpts{})
 }
 
-// BenchmarkCPTGPTTrainEpochSerial is the pre-PR training path: one stream
-// per forward pass, one tensor worker, heap-allocated tape (arena off) and
-// the naive MatMul kernels.
+// BenchmarkCPTGPTTrainEpochSerial is the unbatched training path: one
+// stream per forward pass, one tensor worker and a heap-allocated tape
+// (arena off). MatMul still picks blocked or naive kernels by shape.
 func BenchmarkCPTGPTTrainEpochSerial(b *testing.B) {
-	prev := tensor.SetBlockedMatMul(false)
-	defer tensor.SetBlockedMatMul(prev)
 	benchTrainEpoch(b, CPTGPTTrainOpts{MicrobatchStreams: 1, Parallelism: 1, NoArena: true})
 }
 
@@ -330,8 +317,9 @@ func benchDecodeToken(b *testing.B, prec cptgpt.Precision) {
 	dim := m.Tok.Dim()
 	toks := make([]float64, slots*dim)
 	all := make([]int, slots)
+	ones := make([]int, slots)
 	for i := range all {
-		all[i] = i
+		all[i], ones[i] = i, 1
 		toks[i*dim+1] = 1 // one-hot event 0, interarrival 0, stop 0
 		toks[i*dim+dim-2] = 1
 	}
@@ -339,7 +327,7 @@ func benchDecodeToken(b *testing.B, prec cptgpt.Precision) {
 	for i := 0; i < b.N; i++ {
 		dec.Reset()
 		for s := 0; s < steps; s++ {
-			dec.Step(all, toks)
+			dec.StepK(all, ones, 1, toks) // one row per slot: a plain decode pass
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slots*steps), "ns/token")
@@ -586,6 +574,8 @@ func BenchmarkReplayValidation(b *testing.B) {
 	b.ReportMetric(float64(d.NumEvents()), "events/op")
 }
 
+// BenchmarkTraceJSONLRoundTrip writes a 100-UE trace through the streaming
+// JSONL codec and reads it back.
 func BenchmarkTraceJSONLRoundTrip(b *testing.B) {
 	d, err := synthetic.Generate(synthetic.Config{
 		Generation: events.Gen4G, Seed: 3,
@@ -597,11 +587,26 @@ func BenchmarkTraceJSONLRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := trace.WriteJSONL(&buf, d); err != nil {
+		w := trace.NewStreamWriter(&buf, d.Generation)
+		for j := range d.Streams {
+			if err := w.WriteStream(&d.Streams[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := trace.ReadJSONL(&buf); err != nil {
+		r, err := trace.NewStreamReader(&buf)
+		if err != nil {
 			b.Fatal(err)
+		}
+		for {
+			var s trace.Stream
+			if err := r.Next(&s); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

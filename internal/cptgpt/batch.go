@@ -24,8 +24,8 @@ const DefaultBatchSize = 32
 // of interleaved [K|V]), so stepping N streams touches N adjacent cache
 // regions instead of N scattered per-stream decoders.
 //
-// Both precisions advance slots in passes (StepK; Step is a pass with one
-// row per slot). In the F64 path each slot runs exactly the same row
+// Both precisions advance slots in passes (StepK; plain decoding runs
+// passes of one row per slot). In the F64 path each slot runs exactly the same row
 // kernels as the serial decoder (linearRowInto, layerNormRow, attendRow,
 // mlpRowInto) over its own slice of the shared buffers, and slots never read
 // each other's state. Output is therefore bit-identical to decoding every
@@ -48,23 +48,22 @@ type BatchDecoder struct {
 	capacity int
 	pos      []int // per-slot position
 
-	// Lifetime counters (see Stats). Atomics: Step/StepK run on the
+	// Lifetime counters (see Stats). Atomics: StepK runs on the
 	// decoder's owning goroutine, but Stats may be read concurrently by a
 	// monitor (and Generate aggregates worker decoders' counters while the
 	// race detector watches), so every access is atomic.
 	steps, slotSteps             atomic.Int64
 	draftProposed, draftAccepted atomic.Int64
 
-	// stepHist, when set, observes each Step/StepK wall duration in
-	// seconds (see SetStepHist). Lock-free, so decoders on different
-	// workers may share one histogram.
+	// stepHist, when set, observes each StepK wall duration in seconds
+	// (see SetStepHist). Lock-free, so decoders on different workers may
+	// share one histogram.
 	stepHist *telemetry.Histogram
 
 	// Pass state. Slot slots[i] of a pass owns rows [off[i], off[i+1]);
 	// every per-row buffer is sized to the rows of the largest pass so far
 	// (grow-only, see ensureRows).
 	off     []int       // capacity + 1 row offsets
-	ones    []int       // capacity ones: Step's row counts
 	outsK   [][]StepOut // StepK's per-slot views of rowOuts
 	rowOuts []StepOut
 	iaW, hw int // interarrival head width, widest head hidden layer
@@ -109,10 +108,6 @@ func (m *Model) NewBatchDecoder(capacity int, prec Precision) *BatchDecoder {
 	d := &BatchDecoder{m: m, prec: prec, capacity: capacity}
 	d.pos = make([]int, capacity)
 	d.off = make([]int, capacity+1)
-	d.ones = make([]int, capacity)
-	for i := range d.ones {
-		d.ones[i] = 1
-	}
 	d.outsK = make([][]StepOut, capacity)
 	d.hw = headHiddenMax(m)
 	d.iaW = m.IAHd.Layers[len(m.IAHd.Layers)-1].W.Cols
@@ -183,7 +178,7 @@ func (d *BatchDecoder) TruncateSlot(slot, pos int) {
 
 // DecodeStats is a snapshot of a BatchDecoder's lifetime counters.
 //
-// Steps counts Step/StepK calls and SlotSteps the slot-tokens decoded across
+// Steps counts StepK calls and SlotSteps the slot-tokens decoded across
 // them; SlotSteps / (Steps × Capacity × rows-per-slot) is the slot
 // utilization continuous batching keeps near 1 on skewed stream-length
 // populations. DraftProposed and DraftAccepted count speculative draft
@@ -209,8 +204,8 @@ func (s *DecodeStats) Load() DecodeStats {
 }
 
 // Stats returns a consistent-enough snapshot of the decoder's lifetime
-// counters. It is safe to call concurrently with Step/StepK (each counter is
-// read atomically; the counters may be mid-update relative to one another).
+// counters. It is safe to call concurrently with StepK (each counter is read
+// atomically; the counters may be mid-update relative to one another).
 func (d *BatchDecoder) Stats() DecodeStats {
 	return DecodeStats{
 		Steps:         d.steps.Load(),
@@ -221,9 +216,9 @@ func (d *BatchDecoder) Stats() DecodeStats {
 }
 
 // SetStepHist attaches a lock-free duration histogram that observes every
-// Step/StepK wall time in seconds (nil detaches). The histogram's own
-// accounting is atomic, so the samplers' worker decoders can all share the
-// caller's one instrument. When unset, Step/StepK take no timestamps.
+// StepK wall time in seconds (nil detaches). The histogram's own accounting
+// is atomic, so the sampler's worker decoders can all share the caller's one
+// instrument. When unset, StepK takes no timestamps.
 func (d *BatchDecoder) SetStepHist(h *telemetry.Histogram) { d.stepHist = h }
 
 // countDraft accumulates speculative proposal/acceptance counts (called by
@@ -238,21 +233,6 @@ func (d *BatchDecoder) countDraft(proposed, accepted int64) {
 func (d *BatchDecoder) stepCost() int {
 	dm := d.m.Cfg.DModel
 	return len(d.m.BlocksNN) * (4*dm*dm + 2*dm*d.m.Cfg.MLPHidden)
-}
-
-// Step advances each listed slot by one token and returns the head outputs,
-// one StepOut per slot in slots order. tokens is the slot-major token
-// buffer: slot s reads tokens[s*Dim() : (s+1)*Dim()]. The returned slice
-// and the EventLogits inside it alias decoder-owned scratch, valid only
-// until the next Step.
-//
-// Step is StepK with one row per slot: slots are processed independently,
-// each at its own position — continuous batching mixes fresh and deep
-// slots freely — and a slot panics past MaxLen exactly like the serial
-// decoder.
-func (d *BatchDecoder) Step(slots []int, tokens []float64) []StepOut {
-	d.pass(tracez.StageDecodeStep, slots, d.ones[:len(slots)], 1, tokens)
-	return d.rowOuts[:len(slots)]
 }
 
 // decodeRowF64 consumes one token for a slot through the float64 reference
@@ -365,7 +345,8 @@ func (d *BatchDecoder) ensureRows(n int) {
 	}
 }
 
-// StepK is the multi-token verify / batched prefill kernel: it advances each
+// StepK is the decode pass — one token per slot for plain decoding, a
+// multi-token verify or batched prefill otherwise: it advances each
 // listed slot by ks[i] tokens in one pass, appending every token's keys and
 // values to the slot's cache and returning the head outputs after each
 // position — outsK[i][r] is the model's conditional after slot slots[i]
@@ -377,15 +358,16 @@ func (d *BatchDecoder) ensureRows(n int) {
 // once per pass (once per shard when the pass fans out). Causality is
 // preserved position by position: row r's attention sees exactly the cache
 // up to row r, and no GEMM reduction crosses rows, so outputs equal
-// stepping the same tokens one Step at a time bit for bit, on both paths
-// and with either GEMM kernel.
+// stepping the same tokens one row per pass bit for bit, on both paths and
+// with either GEMM kernel. A pass of single rows (kMax == 1) is recorded as
+// a decode.step span, any other as decode.stepk.
 //
 // Per-slot results are independent of which slots share the pass and of the
 // worker fan-out, so speculative decoding inherits the determinism contract.
 // The returned slices alias decoder-owned scratch, valid until the next
-// Step/StepK. Speculative rejection rewinds a slot's suffix via
-// TruncateSlot; the same kernel prefills prompted generation by feeding the
-// prompt's tokens as one chain.
+// StepK. Speculative rejection rewinds a slot's suffix via TruncateSlot; the
+// same kernel prefills prompted generation by feeding the prompt's tokens as
+// one chain.
 func (d *BatchDecoder) StepK(slots []int, ks []int, kMax int, tokens []float64) [][]StepOut {
 	if len(ks) != len(slots) {
 		panic(fmt.Sprintf("cptgpt: StepK with %d slots but %d row counts", len(slots), len(ks)))
@@ -395,7 +377,11 @@ func (d *BatchDecoder) StepK(slots []int, ks []int, kMax int, tokens []float64) 
 			panic(fmt.Sprintf("cptgpt: StepK slot %d rows %d outside [1, %d]", slots[i], k, kMax))
 		}
 	}
-	d.pass(tracez.StageDecodeStepK, slots, ks, kMax, tokens)
+	stage := tracez.StageDecodeStepK
+	if kMax == 1 {
+		stage = tracez.StageDecodeStep
+	}
+	d.pass(stage, slots, ks, kMax, tokens)
 	for i := range slots {
 		d.outsK[i] = d.rowOuts[d.off[i]:d.off[i+1]]
 	}

@@ -152,7 +152,7 @@ func TestBatchDecoderMatchesDecoder(t *testing.T) {
 		if len(slots) == 0 {
 			break
 		}
-		outs := bd.Step(slots, toks)
+		outs := stepOnce(bd, slots, toks)
 		for j, slot := range slots {
 			want := serial[slot].step(encs[slot].Data[step*dim : (step+1)*dim])
 			got := outs[j]
@@ -212,7 +212,7 @@ func TestSlotRefillMidBatch(t *testing.T) {
 			rd := m.NewBatchDecoder(1, prec)
 			outs := make([]StepOut, rows)
 			for s := 0; s < rows; s++ {
-				o := rd.Step([]int{0}, enc.Data[s*dim:(s+1)*dim])[0]
+				o := stepOnce(rd, []int{0}, enc.Data[s*dim:(s+1)*dim])[0]
 				o.EventLogits = append([]float64(nil), o.EventLogits...)
 				outs[s] = o
 			}
@@ -242,7 +242,7 @@ func TestSlotRefillMidBatch(t *testing.T) {
 		for s := 0; s < aRows; s++ {
 			copy(toks[0:dim], a.Data[s*dim:(s+1)*dim])
 			copy(toks[dim:2*dim], bs.Data[s*dim:(s+1)*dim])
-			outs := bd.Step([]int{0, 1}, toks)
+			outs := stepOnce(bd, []int{0, 1}, toks)
 			same(fmt.Sprintf("A step %d", s), outs[0], wantA[s])
 			same(fmt.Sprintf("B step %d", s), outs[1], wantB[s])
 		}
@@ -264,7 +264,7 @@ func TestSlotRefillMidBatch(t *testing.T) {
 			if len(slots) == 0 {
 				break
 			}
-			outs := bd.Step(slots, toks)
+			outs := stepOnce(bd, slots, toks)
 			for j, slot := range slots {
 				if slot == 0 {
 					same(fmt.Sprintf("C step %d", s), outs[j], wantC[s])

@@ -4,7 +4,9 @@
 // multi-stream minibatches, and autoregressive decoding of arbitrarily many
 // UE streams through a KV-cached BatchDecoder — with a float32 inference
 // fast path, continuous slot batching and speculative (draft + multi-token
-// verify) decoding layered on top.
+// verify) decoding layered on top. One scheduler loop runs every decode:
+// plain decoding is speculative decoding with an empty draft chain, one
+// row per slot per pass and no draft model consulted.
 //
 // Determinism contract, per decoding path:
 //

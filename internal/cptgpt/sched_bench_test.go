@@ -12,11 +12,12 @@ import (
 )
 
 // BenchmarkSchedulingContinuous reports the slot-utilization metric the
-// public (root-package) benchmarks cannot see: it drives sampleContinuous
-// directly over one decoder and reports slotSteps / (steps × capacity) from
-// BatchDecoder.Stats — the fraction of the decoder's slots doing useful
-// work — and the per-stream cost on a skewed stream-length population,
-// where continuous batching reseats retired slots immediately.
+// public (root-package) benchmarks cannot see: it drives the decode
+// scheduler (plain, k = 0) directly over one decoder and reports
+// slotSteps / (steps × capacity) from BatchDecoder.Stats — the fraction of
+// the decoder's slots doing useful work — and the per-stream cost on a
+// skewed stream-length population, where continuous batching reseats
+// retired slots immediately.
 func BenchmarkSchedulingContinuous(b *testing.B) {
 	prevPar := tensor.SetParallelism(1)
 	defer tensor.SetParallelism(prevPar)
@@ -48,7 +49,7 @@ func BenchmarkSchedulingContinuous(b *testing.B) {
 			streams[j] = trace.Stream{}
 		}
 		var next atomic.Int64
-		m.sampleContinuous(dec, streams, 0, &next, opts, init)
+		m.decodeStreams(dec, streams, 0, &next, opts, init, nil, 0)
 	}
 	b.StopTimer()
 	st := dec.Stats()

@@ -9,6 +9,7 @@ import (
 	"cptgpt/internal/smm"
 	"cptgpt/internal/stats"
 	"cptgpt/internal/trace"
+	"cptgpt/internal/tracez"
 )
 
 // specTestModel builds a tiny model plus its training data.
@@ -175,7 +176,7 @@ func TestSpeculativeExactnessChiSquare(t *testing.T) {
 	m.Tok.writeToken(tok, 1, 0.3, 0)
 	var h StepOut
 	for step := 0; step < 3; step++ {
-		h = dec.Step([]int{0}, tok)[0]
+		h = stepOnce(dec, []int{0}, tok)[0]
 		m.Tok.writeToken(tok, (step+1)%m.Tok.V(), 0.2, 0)
 	}
 	// Real draft proposal: the n-gram fitted on the training data.
@@ -304,6 +305,71 @@ func TestSpeculativeStatsCounters(t *testing.T) {
 	}
 	if plain.DraftProposed != 0 || plain.DraftAccepted != 0 {
 		t.Fatalf("plain decode recorded draft counters: %+v", plain)
+	}
+}
+
+// TestPlainDecodeSpansAndCounters pins what plain decoding — the one
+// scheduler with empty draft chains — records, at both precisions: every
+// pass is a one-row decode.step span, there is no decode.stepk, draft or
+// verify span, and the draft counters stay zero. A speculative run of the
+// same model traces its chain passes and both speculative phases instead.
+func TestPlainDecodeSpansAndCounters(t *testing.T) {
+	m, _ := specTestModel(t)
+	tracez.Reset()
+	tracez.Enable()
+	t.Cleanup(func() {
+		tracez.Disable()
+		tracez.Reset()
+	})
+	counts := func() map[string]int64 {
+		c := map[string]int64{}
+		for _, st := range tracez.Stages() {
+			c[st.Stage] = st.Count
+		}
+		return c
+	}
+	spec := []string{tracez.StageDecodeStepK, tracez.StageDecodeDraft, tracez.StageDecodeVerify}
+
+	for _, prec := range []Precision{F64, F32} {
+		tracez.Reset()
+		var st DecodeStats
+		if _, err := m.Generate(GenOpts{NumStreams: 20, Device: events.Phone, Seed: 3,
+			Precision: prec, Stats: &st}); err != nil {
+			t.Fatal(err)
+		}
+		c := counts()
+		if st.Steps == 0 || c[tracez.StageDecodeStep] != st.Steps {
+			t.Errorf("%s: %d decode.step spans for %d passes", prec, c[tracez.StageDecodeStep], st.Steps)
+		}
+		for _, stage := range spec {
+			if c[stage] != 0 {
+				t.Errorf("%s: plain decode recorded %d %s spans", prec, c[stage], stage)
+			}
+		}
+		if st.DraftProposed != 0 || st.DraftAccepted != 0 {
+			t.Errorf("%s: plain decode recorded draft counters: %+v", prec, st)
+		}
+	}
+
+	m.SelfDraft() // fit the cached self-draft (itself a plain decode) first
+	tracez.Reset()
+	var st DecodeStats
+	if _, err := m.Generate(GenOpts{NumStreams: 20, Device: events.Phone, Seed: 3,
+		Precision: F32, Speculative: true, Stats: &st}); err != nil {
+		t.Fatal(err)
+	}
+	c := counts()
+	for _, stage := range spec {
+		if c[stage] == 0 {
+			t.Errorf("speculative decode recorded no %s spans", stage)
+		}
+	}
+	if c[tracez.StageDecodeStepK] != st.Steps || c[tracez.StageDecodeStep] != 0 {
+		t.Errorf("speculative decode: %d decode.stepk and %d decode.step spans for %d passes",
+			c[tracez.StageDecodeStepK], c[tracez.StageDecodeStep], st.Steps)
+	}
+	if st.DraftProposed == 0 {
+		t.Errorf("speculative decode proposed no draft tokens: %+v", st)
 	}
 }
 

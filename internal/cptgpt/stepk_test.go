@@ -36,8 +36,8 @@ func stepKTestEncs(t *testing.T, m *Model, minRows, want int) [][]float64 {
 // TestStepKMatchesStep is the multi-token verify kernel's core contract:
 // consuming a token chain through StepK yields the same per-position head
 // outputs as stepping the chain one token at a time — bit-identical on the
-// F64 path and on the F32 path with either GEMM kernel, since Step and
-// StepK run the same row-independent GEMM. This is also the
+// F64 path and on the F32 path with either GEMM kernel, since one-row and
+// multi-row passes run the same row-independent GEMM. This is also the
 // batched-prefill guarantee: prefilling a prompt is one StepK call.
 func TestStepKMatchesStep(t *testing.T) {
 	d := testTrainingData(t, 60)
@@ -78,7 +78,7 @@ func TestStepKMatchesStep(t *testing.T) {
 			if len(slots) == 0 {
 				break
 			}
-			outs := ref.Step(slots, tok)
+			outs := stepOnce(ref, slots, tok)
 			for j, slot := range slots {
 				o := outs[j]
 				o.EventLogits = append([]float64(nil), o.EventLogits...)
@@ -123,7 +123,7 @@ func TestStepKMatchesStep(t *testing.T) {
 							return
 						}
 						if g != w {
-							t.Fatalf("%s slot %d pos %d %s: StepK %v vs Step %v",
+							t.Fatalf("%s slot %d pos %d %s: StepK %v vs one-row passes %v",
 								md.name, slot, pos[slot]+r, name, g, w)
 						}
 					}
@@ -237,7 +237,7 @@ func TestBatchDecoderStatsRace(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		dec.Step([]int{0, 1}, toks)
+		stepOnce(dec, []int{0, 1}, toks)
 		dec.Reset()
 	}
 	close(done)

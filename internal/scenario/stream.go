@@ -109,7 +109,7 @@ type RunOpts struct {
 	SourceStats func(sourceID string) *cptgpt.DecodeStats
 	// SourceStepHist, when non-nil, supplies a lock-free decode-step
 	// duration histogram for each cptgpt source (keyed by source ID;
-	// return nil to skip one). Every BatchDecoder.Step/StepK the source
+	// return nil to skip one). Every BatchDecoder.StepK pass the source
 	// performs observes its wall duration there — the distribution behind
 	// a daemon's cptserved_decode_step_seconds series.
 	SourceStepHist func(sourceID string) *telemetry.Histogram

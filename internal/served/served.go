@@ -519,6 +519,7 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 		scenarioName: name,
 		spec:         spec,
 		sink:         sink,
+		log:          s.log,
 		ues:          body.UEs,
 		compression:  body.Compression,
 		done:         make(chan struct{}),
@@ -600,7 +601,6 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 
 	s.runsStarted.Inc()
 	s.registerRunMetrics(r)
-	r.log = s.log
 	if queued {
 		s.queuedTotal.Inc()
 		s.log.Infow("run queued by admission control", "run", r.id,

@@ -214,7 +214,9 @@ func bytesPerRun(runs int, fn func()) uint64 {
 // that do not divide the tile dimensions. The input gradient's blocked path
 // re-associates its reduction (terms fold directly into the destination
 // instead of a local dot accumulator), so it is checked to a 1-ulp-scale
-// relative tolerance instead.
+// relative tolerance instead. MatMul picks its kernels by shape; the naive
+// kernels, called directly on the same operands and output gradient, are
+// the oracle.
 func TestMatMulBlockedMatchesNaive(t *testing.T) {
 	shapes := [][3]int{
 		{16, 16, 16},
@@ -226,20 +228,19 @@ func TestMatMulBlockedMatchesNaive(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
-		run := func(blocked bool) (y, ga, gb []float64) {
-			prev := SetBlockedMatMul(blocked)
-			defer SetBlockedMatMul(prev)
-			rng := rand.New(rand.NewPCG(11, uint64(m*k*n)))
-			a := Randn(m, k, 1, rng).Param()
-			b := Randn(k, n, 1, rng).Param()
-			out := MatMul(a, b)
-			Mean(out).Backward()
-			return append([]float64(nil), out.Data...),
-				append([]float64(nil), a.Grad...),
-				append([]float64(nil), b.Grad...)
-		}
-		ny, nga, ngb := run(false)
-		by, bga, bgb := run(true)
+		rng := rand.New(rand.NewPCG(11, uint64(m*k*n)))
+		a := Randn(m, k, 1, rng).Param()
+		b := Randn(k, n, 1, rng).Param()
+		out := MatMul(a, b)
+		Mean(out).Backward()
+		by, bga, bgb := out.Data, a.Grad, b.Grad
+
+		ny := make([]float64, m*n)
+		nga := make([]float64, m*k)
+		ngb := make([]float64, k*n)
+		matmulIntoNaive(ny, a.Data, b.Data, m, k, n)
+		matmulAccBTNaive(nga, out.Grad, b.Data, m, n, k)
+		matmulAccTNaive(ngb, a.Data, out.Grad, m, k, n)
 		cmp := func(name string, naive, blocked []float64, tol float64) {
 			t.Helper()
 			for i := range naive {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -85,61 +84,6 @@ func ReadCSV(r io.Reader, gen events.Generation) (*Dataset, error) {
 	return d, nil
 }
 
-// jsonlHeader is the first line of a JSONL trace file.
-type jsonlHeader struct {
-	Format     string `json:"format"`
-	Generation string `json:"generation"`
-	Streams    int    `json:"streams"`
-}
-
-// WriteJSONL emits the dataset as JSON Lines: a header object followed by
-// one Stream object per line. JSONL is the preferred on-disk format because
-// it streams and keeps per-UE grouping explicit.
-func WriteJSONL(w io.Writer, d *Dataset) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	hdr := jsonlHeader{Format: "cptgpt-trace/1", Generation: d.Generation.String(), Streams: len(d.Streams)}
-	if err := enc.Encode(hdr); err != nil {
-		return fmt.Errorf("trace: writing JSONL header: %w", err)
-	}
-	for i := range d.Streams {
-		if err := enc.Encode(&d.Streams[i]); err != nil {
-			return fmt.Errorf("trace: writing stream %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSONL parses the format produced by WriteJSONL.
-func ReadJSONL(r io.Reader) (*Dataset, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var hdr jsonlHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("trace: reading JSONL header: %w", err)
-	}
-	if hdr.Format != "cptgpt-trace/1" {
-		return nil, fmt.Errorf("trace: unsupported trace format %q", hdr.Format)
-	}
-	gen, err := events.ParseGeneration(hdr.Generation)
-	if err != nil {
-		return nil, fmt.Errorf("trace: JSONL header: %w", err)
-	}
-	d := &Dataset{Generation: gen}
-	if hdr.Streams > 0 {
-		d.Streams = make([]Stream, 0, hdr.Streams)
-	}
-	for i := 0; ; i++ {
-		var s Stream
-		if err := dec.Decode(&s); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: reading stream %d: %w", i, err)
-		}
-		d.Streams = append(d.Streams, s)
-	}
-	return d, nil
-}
-
 // SaveFile writes the dataset to path, choosing the format by extension:
 // ".csv" for CSV, anything else for JSONL; a ".gz" suffix transparently
 // gzip-compresses either format. JSONL goes through the incremental
@@ -191,17 +135,7 @@ func LoadFile(path string, gen events.Generation) (*Dataset, error) {
 			return nil, err
 		}
 		defer sr.Close()
-		d := &Dataset{Generation: sr.Generation()}
-		for {
-			var s Stream
-			if err := sr.Next(&s); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, err
-			}
-			d.Streams = append(d.Streams, s)
-		}
-		return d, nil
+		return sr.readAll()
 	}
 	f, err := os.Open(path)
 	if err != nil {

@@ -12,12 +12,20 @@ import (
 	"cptgpt/internal/events"
 )
 
+// jsonlHeader is the first line of a JSONL trace file. JSONL is the
+// preferred on-disk format because it streams and keeps per-UE grouping
+// explicit: the header is followed by one Stream object per line.
+type jsonlHeader struct {
+	Format     string `json:"format"`
+	Generation string `json:"generation"`
+	Streams    int    `json:"streams"`
+}
+
 // StreamWriter writes a trace incrementally, one UE stream at a time, in
-// the JSONL trace format. It is the streaming counterpart of WriteJSONL:
-// callers that synthesize millions of streams hand each batch to the writer
-// as it is produced instead of materializing a whole Dataset first. The
-// stream count in the header is written as -1 (unknown); ReadJSONL and
-// StreamReader treat that as "until EOF".
+// the JSONL trace format: callers that synthesize millions of streams hand
+// each batch to the writer as it is produced instead of materializing a
+// whole Dataset first. The stream count in the header is written as -1
+// (unknown); StreamReader reads until EOF whatever the count says.
 type StreamWriter struct {
 	bw      *bufio.Writer
 	enc     *json.Encoder
@@ -177,6 +185,20 @@ func (r *StreamReader) Next(s *Stream) error {
 	}
 	r.n++
 	return nil
+}
+
+// readAll drains the remaining streams into a Dataset.
+func (r *StreamReader) readAll() (*Dataset, error) {
+	d := &Dataset{Generation: r.gen}
+	for {
+		var s Stream
+		if err := r.Next(&s); err == io.EOF {
+			return d, nil
+		} else if err != nil {
+			return nil, err
+		}
+		d.Streams = append(d.Streams, s)
+	}
 }
 
 // Close releases any file/compressor owned by the reader.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"path/filepath"
 	"reflect"
@@ -48,8 +49,9 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
-// A streamed trace must be readable by the whole-dataset JSONL reader and
-// vice versa (the header's unknown stream count is -1).
+// A streamed trace (header count -1) must read back whole, and so must a
+// trace whose header carries its stream count, as whole-dataset writers
+// emit it.
 func TestStreamWriterReadableByReadJSONL(t *testing.T) {
 	d := sampleDataset()
 	var buf bytes.Buffer
@@ -62,17 +64,23 @@ func TestStreamWriterReadableByReadJSONL(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Streams, d.Streams) {
-		t.Fatal("ReadJSONL cannot read a streamed trace")
+		t.Fatal("readJSONL cannot read a streamed trace")
 	}
 
 	buf.Reset()
-	if err := WriteJSONL(&buf, d); err != nil {
+	enc := json.NewEncoder(&buf)
+	if err := enc.Encode(jsonlHeader{Format: "cptgpt-trace/1", Generation: d.Generation.String(), Streams: len(d.Streams)}); err != nil {
 		t.Fatal(err)
+	}
+	for i := range d.Streams {
+		if err := enc.Encode(&d.Streams[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r, err := NewStreamReader(&buf)
 	if err != nil {
@@ -83,7 +91,7 @@ func TestStreamWriterReadableByReadJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(s, d.Streams[0]) {
-		t.Fatal("StreamReader cannot read a WriteJSONL trace")
+		t.Fatal("StreamReader cannot read a trace with a counted header")
 	}
 }
 
@@ -93,7 +101,7 @@ func TestEmptyStreamWriterStillValid(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ReadJSONL(&buf)
+	d, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

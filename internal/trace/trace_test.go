@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"path/filepath"
 	"testing"
@@ -164,13 +165,33 @@ func TestCSVRoundTrip(t *testing.T) {
 	assertEqualDatasets(t, d, got)
 }
 
+// writeJSONL writes d as a JSONL trace through the streaming codec.
+func writeJSONL(w io.Writer, d *Dataset) error {
+	sw := NewStreamWriter(w, d.Generation)
+	for i := range d.Streams {
+		if err := sw.WriteStream(&d.Streams[i]); err != nil {
+			return err
+		}
+	}
+	return sw.Close()
+}
+
+// readJSONL reads a whole JSONL trace through the streaming codec.
+func readJSONL(r io.Reader) (*Dataset, error) {
+	sr, err := NewStreamReader(r)
+	if err != nil {
+		return nil, err
+	}
+	return sr.readAll()
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, d); err != nil {
+	if err := writeJSONL(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +218,10 @@ func TestFileRoundTripBothFormats(t *testing.T) {
 }
 
 func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(bytes.NewBufferString(`{"format":"other/9"}`)); err == nil {
+	if _, err := readJSONL(bytes.NewBufferString(`{"format":"other/9"}`)); err == nil {
 		t.Fatal("wrong format header must error")
 	}
-	if _, err := ReadJSONL(bytes.NewBufferString(`not json`)); err == nil {
+	if _, err := readJSONL(bytes.NewBufferString(`not json`)); err == nil {
 		t.Fatal("garbage must error")
 	}
 }
